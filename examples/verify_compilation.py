@@ -41,7 +41,7 @@ def main() -> None:
         trace = dd.statistics["dd_size_trace"]
         print(f"  DD : {dd.equivalence.value:32} {dd.time:6.2f}s  "
               f"max intermediate DD size = {dd.statistics['max_dd_size']} "
-              f"nodes (identity would be {compiled.num_qubits})")
+              f"nodes (identity would be {dd.statistics['active_qubits']})")
         sparkline = "".join(
             " .:-=+*#%@"[min(9, size * 10 // (max(trace) + 1))]
             for size in trace[:: max(1, len(trace) // 60)]

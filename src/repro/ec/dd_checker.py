@@ -14,7 +14,10 @@ Two strategies live here:
 
 Both consume circuits in *logical form* (see
 :mod:`repro.ec.permutations`), which realizes the permutation tracking and
-SWAP reconstruction the paper describes.
+SWAP reconstruction the paper describes, on the compact register of the
+wires either circuit touches: a compiled circuit's idle device wires only
+add identity levels to every DD (``active_qubits`` / ``elided_wires`` in
+the statistics record the compact width).
 
 Gates are merged into the accumulated product through the fast-path
 ``apply_gate_*`` kernels by default (only the diagram below a gate's top
@@ -37,7 +40,7 @@ from repro.dd.gates import (
 )
 from repro.dd.package import DDPackage
 from repro.ec.configuration import Configuration
-from repro.ec.permutations import to_logical_form
+from repro.ec.permutations import logical_pair
 from repro.ec.results import (
     Equivalence,
     EquivalenceCheckingResult,
@@ -91,20 +94,9 @@ class ConstructionChecker:
         configuration: Optional[Configuration] = None,
     ) -> None:
         self.configuration = configuration or Configuration()
-        num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
-        self.num_qubits = num_qubits
-        self.logical1, _ = to_logical_form(
-            circuit1,
-            num_qubits,
-            self.configuration.elide_permutations,
-            self.configuration.reconstruct_swaps,
-        )
-        self.logical2, _ = to_logical_form(
-            circuit2,
-            num_qubits,
-            self.configuration.elide_permutations,
-            self.configuration.reconstruct_swaps,
-        )
+        self.pair = logical_pair(circuit1, circuit2, self.configuration)
+        self.logical1, self.logical2 = self.pair.circuit1, self.pair.circuit2
+        self.num_qubits = self.pair.active_qubits
         self.package = make_package(self.configuration)
 
     def run(self, deadline: Optional[float] = None) -> EquivalenceCheckingResult:
@@ -153,6 +145,7 @@ class ConstructionChecker:
             "dd_size_1": pkg.matrix_dd_size(first),
             "dd_size_2": pkg.matrix_dd_size(second),
             "unique_nodes": pkg.num_unique_matrix_nodes(),
+            **self.pair.width_statistics(),
             "complex_table": pkg.complex_table.stats(),
             "perf": {**perf.as_dict(), **package_statistics(pkg)},
         }
@@ -173,21 +166,9 @@ class AlternatingChecker:
         configuration: Optional[Configuration] = None,
     ) -> None:
         self.configuration = configuration or Configuration()
-        num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
-        self.num_qubits = num_qubits
-        self.logical1, stats1 = to_logical_form(
-            circuit1,
-            num_qubits,
-            self.configuration.elide_permutations,
-            self.configuration.reconstruct_swaps,
-        )
-        self.logical2, stats2 = to_logical_form(
-            circuit2,
-            num_qubits,
-            self.configuration.elide_permutations,
-            self.configuration.reconstruct_swaps,
-        )
-        self.permutation_statistics = {"circuit1": stats1, "circuit2": stats2}
+        self.pair = logical_pair(circuit1, circuit2, self.configuration)
+        self.logical1, self.logical2 = self.pair.circuit1, self.pair.circuit2
+        self.num_qubits = self.pair.active_qubits
         self.package = make_package(self.configuration)
 
     # -- oracles ----------------------------------------------------------
@@ -343,7 +324,8 @@ class AlternatingChecker:
             "final_dd_size": pkg.matrix_dd_size(accumulated),
             "hilbert_schmidt_fidelity": fidelity,
             "unique_nodes": pkg.num_unique_matrix_nodes(),
-            "permutations": self.permutation_statistics,
+            "permutations": self.pair.permutation_statistics,
+            **self.pair.width_statistics(),
             "complex_table": pkg.complex_table.stats(),
             "perf": {**perf.as_dict(), **package_statistics(pkg)},
         }

@@ -254,20 +254,21 @@ class EquivalenceCheckingManager:
         the historic worst-case behaviour is preserved.  A stage's
         result is final when it is a proof, or a ``NOT_EQUIVALENT``
         falsification from simulation; otherwise the next stage runs.
+        When a later stage decides, the simulation stage's ``perf`` block
+        is kept as ``statistics["simulation_perf"]``.
         """
         schedule = (
             tuple(advice.schedule)
             if advice is not None
             else ("simulation", "alternating")
         )
-        simulations_run: Optional[object] = None
+        simulation: Optional[EquivalenceCheckingResult] = None
         result: Optional[EquivalenceCheckingResult] = None
         for stage in schedule:
             if stage == "simulation":
-                result = simulation_check(
+                result = simulation = simulation_check(
                     self.circuit1, self.circuit2, config, deadline
                 )
-                simulations_run = result.statistics.get("simulations_run")
                 if result.equivalence is Equivalence.NOT_EQUIVALENT:
                     break
             elif stage == "alternating":
@@ -286,8 +287,16 @@ class EquivalenceCheckingManager:
                 raise ValueError(f"unknown combined stage {stage!r}")
         assert result is not None  # schedules are never empty
         result.strategy = "combined"
-        if simulations_run is not None:
-            result.statistics.setdefault("simulations_run", simulations_run)
+        if simulation is not None and simulation is not result:
+            # Another stage decided: keep the simulation stage's run count
+            # and its perf block, nested so the top-level keys still name
+            # the deciding stage (no stimuli_digest here).
+            result.statistics.setdefault(
+                "simulations_run", simulation.statistics["simulations_run"]
+            )
+            result.statistics.setdefault(
+                "simulation_perf", simulation.statistics["perf"]
+            )
         result.statistics.setdefault("combined_schedule", list(schedule))
         result.time = time.monotonic() - start
         return result

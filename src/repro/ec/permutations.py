@@ -11,7 +11,9 @@ The machinery here realizes Section 4.1's treatment:
   *tracking* the physical-to-logical permutation through the circuit,
   absorbing SWAP gates into the tracked permutation instead of emitting
   them, and appending corrective SWAPs only where the tracked permutation
-  disagrees with the declared output permutation.
+  disagrees with the declared output permutation,
+* :func:`logical_pair` puts both circuits of a check into logical form on
+  a shared register and drops the wires neither of them touches.
 
 Every equivalence-checking strategy consumes circuits in logical form, so
 all of them handle permuted inputs/outputs uniformly.
@@ -19,11 +21,12 @@ all of them handle permuted inputs/outputs uniformly.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gate import Operation
 from repro.dd.gates import permutation_to_transpositions
+from repro.ec.configuration import Configuration
 
 
 def reconstruct_swaps(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -120,3 +123,88 @@ def to_logical_form(
         out.swap(a, b)
         statistics["correction_swaps"] += 1
     return out, statistics
+
+
+class LogicalPair(NamedTuple):
+    """Both circuits of a check in logical form on one compact register.
+
+    ``wires[i]`` is the full-register wire that compact wire ``i`` stands
+    for; ``num_qubits`` is the full register width before idle wires
+    were dropped.
+    """
+
+    circuit1: QuantumCircuit
+    circuit2: QuantumCircuit
+    wires: Tuple[int, ...]
+    num_qubits: int
+    permutation_statistics: Dict[str, Dict[str, int]]
+
+    @property
+    def active_qubits(self) -> int:
+        return len(self.wires)
+
+    def width_statistics(self) -> Dict[str, int]:
+        """``active_qubits`` and ``elided_wires`` for a result's statistics."""
+        return {
+            "active_qubits": self.active_qubits,
+            "elided_wires": self.num_qubits - self.active_qubits,
+        }
+
+    def compact(self, circuit: QuantumCircuit) -> QuantumCircuit:
+        """Relabel a full-register circuit onto the kept wires.
+
+        ``circuit`` may only touch kept wires (e.g. a stimulus on wires
+        passed as ``keep`` to :func:`logical_pair`).
+        """
+        if self.active_qubits == self.num_qubits:
+            return circuit
+        relabel = {wire: index for index, wire in enumerate(self.wires)}
+        return circuit.remapped(relabel, self.active_qubits)
+
+
+def logical_pair(
+    circuit1: QuantumCircuit,
+    circuit2: QuantumCircuit,
+    configuration: Configuration,
+    keep: Iterable[int] = (),
+) -> LogicalPair:
+    """Put both circuits into logical form and drop their idle wires.
+
+    Both circuits are rewritten by :func:`to_logical_form` onto the wider
+    circuit's register, then relabelled, in wire order, onto the wires
+    either of them touches plus ``keep``.  A wire no gate of either
+    circuit touches contributes only an identity factor ``⊗ I``, so
+    every DD verdict is unchanged: ``|tr(U†V ⊗ I)| / 2^n`` equals
+    ``|tr(U†V)| / 2^m``, identity tests and state fidelities likewise.
+    When no wire is idle the logical circuits are returned as they are.
+    """
+    num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
+    logical1, stats1 = to_logical_form(
+        circuit1,
+        num_qubits,
+        configuration.elide_permutations,
+        configuration.reconstruct_swaps,
+    )
+    logical2, stats2 = to_logical_form(
+        circuit2,
+        num_qubits,
+        configuration.elide_permutations,
+        configuration.reconstruct_swaps,
+    )
+    wires = tuple(
+        sorted(
+            set(keep)
+            .union(logical1.used_qubits())
+            .union(logical2.used_qubits())
+        )
+    )
+    pair = LogicalPair(
+        logical1,
+        logical2,
+        wires,
+        num_qubits,
+        {"circuit1": stats1, "circuit2": stats2},
+    )
+    return pair._replace(
+        circuit1=pair.compact(logical1), circuit2=pair.compact(logical2)
+    )

@@ -23,7 +23,7 @@ from repro.dd.array_gates import apply_operation_columns
 from repro.dd.gates import apply_operation_to_vector
 from repro.ec.configuration import Configuration
 from repro.ec.dd_checker import _check_deadline, make_package
-from repro.ec.permutations import to_logical_form
+from repro.ec.permutations import logical_pair
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
 from repro.ec.stimuli import (
     generate_stimulus,
@@ -43,7 +43,9 @@ def simulation_check(
 
     Stimuli are random bit strings on the *data* qubits (the width of the
     narrower circuit); ancilla wires added by compilation start in
-    ``|0>``, matching the hardware assumption.
+    ``|0>``, matching the hardware assumption.  Ancillas no gate touches
+    are dropped before simulation (:func:`logical_pair`): they stay in
+    ``|0>`` in both circuits and cannot change a fidelity.
 
     Under ``Configuration.array_dd`` (default) all stimuli are batched:
     one column state per stimulus, one pass over each circuit's gates
@@ -54,14 +56,14 @@ def simulation_check(
     """
     config = configuration or Configuration()
     start = time.monotonic()
-    num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
     data_qubits = min(circuit1.num_qubits, circuit2.num_qubits)
-    logical1, _ = to_logical_form(
-        circuit1, num_qubits, config.elide_permutations, config.reconstruct_swaps
-    )
-    logical2, _ = to_logical_form(
-        circuit2, num_qubits, config.elide_permutations, config.reconstruct_swaps
-    )
+    pair = logical_pair(circuit1, circuit2, config, keep=range(data_qubits))
+    logical1, logical2 = pair.circuit1, pair.circuit2
+    # Stimuli are generated and digested at the full register width (the
+    # digest is part of the reproducibility contract), then simulated on
+    # the compact register of the wires either circuit touches.
+    full_width = pair.num_qubits
+    num_qubits = pair.active_qubits
     rng = random.Random(config.seed)
     pkg = make_package(config)
     direct = config.direct_application
@@ -76,6 +78,7 @@ def simulation_check(
             "simulations_run": runs,
             "min_fidelity": fidelity,
             "stimuli_digest": stimuli_digest.hexdigest(),
+            **pair.width_statistics(),
             "complex_table": pkg.complex_table.stats(),
             "perf": {**perf.as_dict(), **package_statistics(pkg)},
         }
@@ -91,12 +94,12 @@ def simulation_check(
             for _ in range(config.num_simulations):
                 _check_deadline(deadline)
                 stimulus = generate_stimulus(
-                    config.stimuli_type, num_qubits, data_qubits, rng
+                    config.stimuli_type, full_width, data_qubits, rng
                 )
                 stimuli_digest.update(
                     circuit_to_qasm(stimulus).encode("utf-8")
                 )
-                stimuli.append(stimulus)
+                stimuli.append(pair.compact(stimulus))
             columns = prepare_stimulus_columns(
                 pkg, stimuli, num_qubits, direct=direct
             )
@@ -146,11 +149,11 @@ def simulation_check(
     for _ in range(config.num_simulations):
         with perf.phase("stimulus_preparation"):
             stimulus = generate_stimulus(
-                config.stimuli_type, num_qubits, data_qubits, rng
+                config.stimuli_type, full_width, data_qubits, rng
             )
             stimuli_digest.update(circuit_to_qasm(stimulus).encode("utf-8"))
             prepared = prepare_stimulus_state(
-                pkg, stimulus, num_qubits, direct=direct
+                pkg, pair.compact(stimulus), num_qubits, direct=direct
             )
         state1 = state2 = prepared
         with perf.phase("simulation"):

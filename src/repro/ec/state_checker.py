@@ -22,7 +22,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.dd.gates import apply_operation_to_vector
 from repro.ec.configuration import Configuration
 from repro.ec.dd_checker import _check_deadline, make_package
-from repro.ec.permutations import to_logical_form
+from repro.ec.permutations import logical_pair
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
 
 
@@ -35,17 +35,12 @@ def state_check(
     """Decide whether both circuits prepare the same state from ``|0...0>``."""
     config = configuration or Configuration()
     start = time.monotonic()
-    num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
-    logical1, _ = to_logical_form(
-        circuit1, num_qubits, config.elide_permutations, config.reconstruct_swaps
-    )
-    logical2, _ = to_logical_form(
-        circuit2, num_qubits, config.elide_permutations, config.reconstruct_swaps
-    )
+    pair = logical_pair(circuit1, circuit2, config)
+    num_qubits = pair.active_qubits
     pkg = make_package(config)
     states = []
     max_size = 0
-    for logical in (logical1, logical2):
+    for logical in (pair.circuit1, pair.circuit2):
         state = pkg.basis_state(num_qubits)
         for op in logical:
             _check_deadline(deadline)
@@ -70,6 +65,7 @@ def state_check(
         {
             "fidelity": fidelity,
             "max_state_dd_size": max_size,
+            **pair.width_statistics(),
             # canonicity bonus: equal states share the very same node
             # (object identity or handle equality, by engine)
             "same_canonical_node": (

@@ -164,6 +164,7 @@ def _comparable(payload: Dict[str, object]) -> Dict[str, object]:
         statistics.pop("service", None)
         statistics.pop("isolation", None)
         statistics.pop("perf", None)
+        statistics.pop("simulation_perf", None)
         out["statistics"] = statistics
     return out
 

@@ -73,6 +73,35 @@ class TestCombinedStrategy:
         assert result.proven
         assert result.considered_equivalent
 
+    def test_simulation_perf_kept_when_alternating_decides(self):
+        circuit = random_circuit(4, 20, seed=3)
+        compiled = compile_circuit(circuit, line_architecture(6))
+        result = EquivalenceCheckingManager(
+            circuit, compiled,
+            Configuration(strategy="combined", seed=1, static_analysis=False),
+        ).run()
+        statistics = result.statistics
+        assert "hilbert_schmidt_fidelity" in statistics
+        assert statistics["simulations_run"] == 16
+        sim_perf = statistics["simulation_perf"]
+        assert sim_perf["counters"]["dd.batch_width"] == 16
+        assert "simulation" in sim_perf["phase_seconds"]
+        # The deciding stage stays readable from the top-level keys.
+        assert "stimuli_digest" not in statistics
+        assert "stimuli_digest" not in sim_perf
+
+    def test_no_simulation_perf_when_simulation_decides(self):
+        circuit = random_circuit(4, 30, seed=2)
+        compiled = compile_circuit(circuit, line_architecture(6))
+        broken = remove_random_gate(compiled, seed=3)
+        result = EquivalenceCheckingManager(
+            circuit, broken,
+            Configuration(strategy="combined", seed=1, static_analysis=False),
+        ).run()
+        assert result.equivalence is Equivalence.NOT_EQUIVALENT
+        assert "stimuli_digest" in result.statistics
+        assert "simulation_perf" not in result.statistics
+
 
 class TestTimeout:
     def test_timeout_result(self):
