@@ -19,7 +19,7 @@ import pytest
 from repro.bench import algorithms, reversible
 from repro.circuit import QuantumCircuit
 from repro.compile.decompose import decompose_to_basis
-from repro.dd import DDPackage, matrix_dd_size
+from repro.dd import ArrayDDPackage
 from repro.dd.gates import circuit_dd
 from repro.zx import circuit_to_zx, full_reduce
 
@@ -48,8 +48,8 @@ def test_dd_on_reversible_structure(benchmark, make):
     circuit = make()
 
     def build():
-        pkg = DDPackage()
-        return matrix_dd_size(circuit_dd(pkg, circuit))
+        pkg = ArrayDDPackage()
+        return pkg.matrix_dd_size(circuit_dd(pkg, circuit))
 
     size = benchmark.pedantic(build, rounds=1)
     # A reversible function's DD is at worst O(2^n) nodes (hwb famously
@@ -64,8 +64,8 @@ def test_dd_under_angle_noise(benchmark, noise):
     noisy = _perturb(base, noise)
 
     def build():
-        pkg = DDPackage()
-        return matrix_dd_size(circuit_dd(pkg, noisy))
+        pkg = ArrayDDPackage()
+        return pkg.matrix_dd_size(circuit_dd(pkg, noisy))
 
     benchmark.pedantic(build, rounds=1)
 
@@ -73,10 +73,10 @@ def test_dd_under_angle_noise(benchmark, noise):
 def test_noise_grows_dd_but_not_zx():
     """The discussion's core contrast, asserted head-to-head."""
     base = decompose_to_basis(algorithms.qft(6))
-    clean_pkg, noisy_pkg = DDPackage(), DDPackage()
-    clean_size = matrix_dd_size(circuit_dd(clean_pkg, base))
+    clean_pkg, noisy_pkg = ArrayDDPackage(), ArrayDDPackage()
+    clean_size = clean_pkg.matrix_dd_size(circuit_dd(clean_pkg, base))
     noisy = _perturb(base, 1e-6)
-    noisy_size = matrix_dd_size(circuit_dd(noisy_pkg, noisy))
+    noisy_size = noisy_pkg.matrix_dd_size(circuit_dd(noisy_pkg, noisy))
     assert noisy_size >= clean_size  # sharing degrades (or stays equal)
 
     clean_diagram = circuit_to_zx(base)

@@ -10,7 +10,7 @@ identity DD is exactly ``n`` nodes.
 import pytest
 
 from repro.bench import algorithms
-from repro.dd import DDPackage, matrix_dd_size
+from repro.dd import ArrayDDPackage
 from repro.dd.gates import circuit_dd
 
 SIZES = [4, 8, 16, 32, 65]
@@ -19,8 +19,8 @@ SIZES = [4, 8, 16, 32, 65]
 @pytest.mark.parametrize("n", SIZES)
 def test_identity_dd_linear(benchmark, n):
     def build():
-        pkg = DDPackage()
-        return matrix_dd_size(pkg.identity(n))
+        pkg = ArrayDDPackage()
+        return pkg.matrix_dd_size(pkg.identity(n))
 
     size = benchmark(build)
     assert size == n  # Fig. 3b: linear in the number of qubits
@@ -29,8 +29,8 @@ def test_identity_dd_linear(benchmark, n):
 @pytest.mark.parametrize("n", [3, 8, 16, 32])
 def test_ghz_unitary_dd_compact(benchmark, n):
     def build():
-        pkg = DDPackage()
-        return matrix_dd_size(circuit_dd(pkg, algorithms.ghz_state(n)))
+        pkg = ArrayDDPackage()
+        return pkg.matrix_dd_size(circuit_dd(pkg, algorithms.ghz_state(n)))
 
     size = benchmark(build)
     # Fig. 3a: the GHZ system matrix DD grows linearly, not as 4^n.
@@ -42,8 +42,8 @@ def test_qft_unitary_dd(benchmark, n):
     """QFT matrices have structure too, but less sharing than GHZ."""
 
     def build():
-        pkg = DDPackage()
-        return matrix_dd_size(circuit_dd(pkg, algorithms.qft(n)))
+        pkg = ArrayDDPackage()
+        return pkg.matrix_dd_size(circuit_dd(pkg, algorithms.qft(n)))
 
     size = benchmark(build)
     assert size >= n  # sanity: at least one node per level

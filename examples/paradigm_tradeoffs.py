@@ -21,7 +21,7 @@ import random
 from repro.bench import algorithms, reversible
 from repro.bench.errors import remove_random_gate
 from repro.circuit import QuantumCircuit
-from repro.dd import DDPackage, matrix_dd_size
+from repro.dd import ArrayDDPackage
 from repro.dd.gates import circuit_dd
 from repro.ec import Configuration, simulation_check, zx_check
 from repro.zx import circuit_to_zx, full_reduce
@@ -40,8 +40,8 @@ def perturbed(circuit: QuantumCircuit, magnitude: float, seed: int = 0):
 
 
 def dd_size_of(circuit) -> int:
-    pkg = DDPackage()
-    return matrix_dd_size(circuit_dd(pkg, circuit))
+    pkg = ArrayDDPackage()
+    return pkg.matrix_dd_size(circuit_dd(pkg, circuit))
 
 
 def main() -> None:

@@ -102,10 +102,10 @@ def estimate_cost(
     two_qubit = sum(p.two_qubit_gates for p in profiles)
     # DD effort grows with the entangling structure the diagram must
     # represent: two-qubit depth drives node counts, width caps them.
-    # Coefficients re-tuned for the array-native kernels (struct-of-arrays
+    # Coefficients tuned for the array-native kernels (struct-of-arrays
     # node store + batched stimuli cut per-gate DD cost by ~2.5-3x on the
-    # Table-1 cells, see BENCH_dd_kernels.json), which narrows the gap to
-    # ZX on entangling-heavy pairs.
+    # Table-1 cells against an object-node engine), which narrows the gap
+    # to ZX on entangling-heavy pairs.
     dd_score = (
         float(total_gates)
         + 3.0 * two_qubit

@@ -108,9 +108,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         stimuli_type=args.stimuli,
         timeout=args.timeout,
         seed=args.seed,
-        direct_application=not args.legacy_kernels,
         incremental_zx=not args.legacy_zx_simp,
-        array_dd=not args.legacy_dd,
         memory_limit_mb=args.memory_limit,
         max_retries=args.retries,
         num_instantiations=args.instantiations,
@@ -463,18 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--layout1", default=None)
     verify.add_argument("--layout2", default=None)
     verify.add_argument(
-        "--legacy-kernels", action="store_true",
-        help="disable the direct gate-application fast path (A/B baseline)",
-    )
-    verify.add_argument(
         "--legacy-zx-simp", action="store_true",
         help="disable the incremental worklist ZX simplifier and use the "
         "rescan-to-fixpoint drivers (A/B baseline)",
-    )
-    verify.add_argument(
-        "--legacy-dd", action="store_true",
-        help="use the object-based DD engine instead of the array-native "
-        "node store with batched stimuli (A/B baseline)",
     )
     verify.add_argument(
         "--compute-table-size", type=int, default=None,

@@ -8,37 +8,27 @@ diagrams for quantum state vectors and unitary matrices, with
   weights (the mechanism whose failure under rounding errors causes the DD
   blow-up discussed in Section 6.2),
 * *unique tables* that guarantee canonicity — two equal (sub-)functions are
-  represented by the very same node object, and
+  represented by the very same node handle, and
 * *compute tables* memoizing addition, multiplication, conjugation, traces
   and inner products.
 
-The package ships **two engines** with one algebra:
-
-* :class:`~repro.dd.package.DDPackage` — the legacy object engine
-  (``VNode``/``MNode`` objects, edge objects, dict unique tables);
-* :class:`~repro.dd.array_package.ArrayDDPackage` — the array-native
-  engine (struct-of-arrays node store, packed integer edges,
-  open-addressed unique tables), the default via
-  ``Configuration.array_dd``.
-
-Both operate on the shared circuit IR of :mod:`repro.circuit`; the gate
-constructors in :mod:`repro.dd.gates` are engine-polymorphic and
-:mod:`repro.dd.array_gates` adds batched column simulation.
+:class:`~repro.dd.array_package.ArrayDDPackage` is the engine: a
+struct-of-arrays node store, packed integer edges and open-addressed
+unique tables.  It operates on the shared circuit IR of
+:mod:`repro.circuit`; :mod:`repro.dd.gates` builds gate and circuit
+diagrams on it and :mod:`repro.dd.array_gates` adds batched column
+simulation.
 """
 
 from repro.dd.array_package import ArrayDDPackage
 from repro.dd.array_store import NodeStore
 from repro.dd.complex_table import ComplexTable, DEFAULT_TOLERANCE
 from repro.dd.compute_table import ComputeTable, DEFAULT_COMPUTE_TABLE_SIZE
-from repro.dd.node import MEdge, MNode, VEdge, VNode, TERMINAL
-from repro.dd.package import DDPackage
 from repro.dd.export import (
     edge_to_matrix,
     edge_to_vector,
-    matrix_dd_size,
-    matrix_signature,
-    vector_dd_size,
-    vector_signature,
+    matrix_digest,
+    vector_digest,
 )
 
 __all__ = [
@@ -47,17 +37,9 @@ __all__ = [
     "ComputeTable",
     "DEFAULT_COMPUTE_TABLE_SIZE",
     "DEFAULT_TOLERANCE",
-    "DDPackage",
-    "MEdge",
-    "MNode",
     "NodeStore",
-    "VEdge",
-    "VNode",
-    "TERMINAL",
     "edge_to_matrix",
     "edge_to_vector",
-    "matrix_dd_size",
-    "matrix_signature",
-    "vector_dd_size",
-    "vector_signature",
+    "matrix_digest",
+    "vector_digest",
 ]

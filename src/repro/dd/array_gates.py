@@ -1,13 +1,8 @@
 """Batched gate application over stimulus columns.
 
-The gate *builders* in :mod:`repro.dd.gates` are engine-polymorphic: they
-only touch the package method surface (``layered_kron``, ``identity``,
-``add``, ``make_matrix_node``, the ``apply_gate_*`` kernels), which the
-array engine (:mod:`repro.dd.array_package`) implements over packed
-integer edges.  What the array engine adds on top is *batching*: the
-simulation checker propagates all ``num_simulations`` random stimuli as a
-matrix of column states and applies each gate to every column in one
-pass.
+The simulation checker propagates all ``num_simulations`` random stimuli
+as a matrix of column states and applies each gate to every column in one
+pass, on top of the gate builders in :mod:`repro.dd.gates`.
 
 Batching amortizes the per-gate fixed costs across the batch width — the
 gate-DD cache fetch happens once per gate instead of once per (gate,
@@ -18,58 +13,28 @@ everything below the flipped qubits).
 
 Semantics note: a batched pass always simulates every stimulus to
 completion before fidelities are compared, so there is no per-stimulus
-early exit mid-circuit; the verdict is unchanged (see
-``Configuration.array_dd``).
+early exit mid-circuit; the verdict is unchanged, and the simulation
+checker reports the index of the first mismatching stimulus as
+``first_mismatch``.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gate import Operation
-from repro.dd.gates import compact_operation_dd, operation_dd
+from repro.dd.array_package import ArrayDDPackage
+from repro.dd.gates import compact_operation_dd
 
 
 def apply_operation_columns(
-    pkg,
-    columns: Sequence[int],
-    op: Operation,
-    num_qubits: int,
-    direct: bool = True,
+    pkg: ArrayDDPackage, columns: Sequence[int], op: Operation
 ) -> List[int]:
     """Apply one operation to every column state; returns the new columns.
 
     The gate diagram is built (or fetched from the per-package gate
-    cache) exactly once for the whole batch.  Works with either engine —
-    ``columns`` are whatever edge type ``pkg`` produces.
+    cache) exactly once for the whole batch.
     """
-    if direct:
-        gate = compact_operation_dd(pkg, op)
-        apply = pkg.apply_gate_vector
-    else:
-        gate = operation_dd(pkg, op, num_qubits)
-        apply = pkg.multiply_matrix_vector
+    gate = compact_operation_dd(pkg, op)
+    apply = pkg.apply_gate_vector
     return [apply(gate, column) for column in columns]
-
-
-def simulate_circuit_columns(
-    pkg,
-    circuit: QuantumCircuit,
-    columns: Sequence[int],
-    direct: bool = True,
-    deadline_check=None,
-) -> List[int]:
-    """Run a circuit over all columns, one batched pass per gate.
-
-    ``deadline_check`` (optional nullary callable) is invoked once per
-    gate so cooperative timeouts keep their per-gate granularity.
-    """
-    current = list(columns)
-    for op in circuit:
-        if deadline_check is not None:
-            deadline_check()
-        current = apply_operation_columns(
-            pkg, current, op, circuit.num_qubits, direct=direct
-        )
-    return current

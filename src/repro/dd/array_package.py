@@ -1,37 +1,31 @@
 """Array-native DD package: integer handles, packed edges, id arithmetic.
 
-This is the performance twin of :class:`repro.dd.package.DDPackage`.  It
-implements the *same* QMDD algebra — same normalization rule, same
-recursion structure, same memoization points — over a struct-of-arrays
-substrate (:mod:`repro.dd.array_store`) instead of linked ``VNode`` /
-``MNode`` objects:
+This is the QMDD package (normalization, recursion structure and
+memoization points of QCEC's package) over a struct-of-arrays substrate
+(:mod:`repro.dd.array_store`) instead of linked node objects:
 
 * **Nodes** are dense ``int`` handles into a :class:`NodeStore` (handle
-  0 = terminal).  No node or edge objects are allocated on the hot path;
-  ``tools/check_repro.py`` enforces this with the ``no-object-dd`` lint.
+  0 = terminal).  No node or edge objects are allocated on the hot path.
 * **Edges** are single Python integers packing the target handle and the
   interned weight id of the :class:`~repro.dd.complex_table.ComplexTable`:
   ``edge = (handle << 32) | weight_id``.  The canonical zero edge is the
   literal ``0`` (terminal handle, weight id of ``0j``) and the terminal
   one-edge is the literal ``1`` — but zero *tests* always mask the weight
   id, because arithmetic can snap a weight to zero under a non-terminal
-  handle (mirroring ``Edge.is_zero`` being a pure weight test in the
-  object engine).
+  handle (a zero edge is a pure weight test).
 * **Weight arithmetic** happens on integer ids through small memo dicts
   (``mul``/``mul3``/``div``/``add``/``conj-mul``): each distinct id pair
   is computed once via the complex table and then replayed as a dict hit,
   so the recursions never re-hash complex numbers.
-* **Compute tables** are the same slot-indexed
-  :class:`~repro.dd.compute_table.ComputeTable` instances as the object
-  engine, but keyed on ``(handle, handle, ...)`` integer tuples instead
-  of ``id()`` pairs — stable, dense, and cheap to hash.
+* **Compute tables** are slot-indexed
+  :class:`~repro.dd.compute_table.ComputeTable` instances keyed on
+  ``(handle, handle, ...)`` integer tuples — stable, dense, and cheap to
+  hash.
 
-Because both engines normalize identically and intern through a
-:class:`ComplexTable`, building the *same* circuit in an object package
-and an array package sharing one complex table yields bit-identical root
-signatures (see ``tests/dd/test_array_agreement.py``); ulp-level
+Weights are interned through a :class:`ComplexTable`, so ulp-level
 differences in intermediate float products are absorbed by the table's
-canonical snapping.
+canonical snapping; ``tests/dd/golden_dd_corpus.json`` pins the root
+digests (:func:`repro.dd.export.matrix_digest`) this produces.
 """
 
 from __future__ import annotations
@@ -60,17 +54,15 @@ ONE_EDGE = ONE_ID
 class ArrayDDPackage:
     """Canonical vector / matrix DDs over struct-of-arrays node storage.
 
-    Drop-in algebraic equivalent of :class:`repro.dd.package.DDPackage`;
-    edges are packed integers (see module docstring) and node identity is
-    handle equality.  The checker layer only touches edges through the
-    engine-uniform accessors (``edge_node`` / ``edge_weight`` /
-    ``matrix_dd_size`` / ``vector_dd_size``), so the same checker code
-    drives either engine.
+    Edges are packed integers (see module docstring) and node identity
+    is handle equality.  The checker layer only touches edges through the
+    accessors ``edge_node`` / ``edge_weight`` / ``matrix_dd_size`` /
+    ``vector_dd_size``.
 
     Args:
         tolerance: Merging tolerance of the complex table.
         compute_table_size: Slots per compute table (``None`` = unbounded).
-        complex_table: Existing table to share (engine-agreement tests).
+        complex_table: Existing table to share between packages.
         unique_table_slots: Initial open-addressed unique-table size; tiny
             values exercise the growth path in stress tests.
     """
@@ -164,8 +156,7 @@ class ArrayDDPackage:
             "vector_store": self.vec.stats(),
         }
 
-    # Engine-uniform edge accessors (the object engine exposes the same
-    # four names; checkers never unpack edges themselves).
+    # Edge accessors: checkers never unpack edges themselves.
     @staticmethod
     def edge_node(edge: int) -> int:
         """The node token of an edge — compare with ``==``."""
@@ -242,8 +233,8 @@ class ArrayDDPackage:
         return result
 
     def _wmul3(self, a: int, b: int, c: int) -> int:
-        # Mirrors the object engine's single-lookup triple product
-        # ``lookup(va * vb * vc)`` (left-to-right).
+        # Single-lookup triple product ``lookup(va * vb * vc)``
+        # (left-to-right).
         if a == 0 or b == 0 or c == 0:
             return 0
         if a == ONE_ID:
@@ -314,7 +305,7 @@ class ArrayDDPackage:
         """Create (or reuse) a normalized vector node; returns its edge."""
         w0 = edges[0] & WEIGHT_MASK
         w1 = edges[1] & WEIGHT_MASK
-        # Max-magnitude weight, lowest index on exact ties (object-engine
+        # Max-magnitude weight, lowest index on exact ties (the
         # normalization rule — strictly-greater comparison).
         if self._wabs(w1) > self._wabs(w0):
             max_index = 1
@@ -418,8 +409,7 @@ class ArrayDDPackage:
         """Build ``F_{n-1} ⊗ ... ⊗ F_1 ⊗ F_0`` with identity defaults.
 
         ``factors`` maps qubit index to a 2x2 complex matrix; unspecified
-        qubits contribute the identity (same contract as the object
-        engine's ``layered_kron``).
+        qubits contribute the identity.
         """
         lookup_id = self.complex_table.lookup_id
         values = self._values

@@ -1,11 +1,10 @@
 """Struct-of-arrays node storage for the array-native DD engine.
 
-The object engine (:mod:`repro.dd.package`) represents every node as a
-``VNode``/``MNode`` instance holding a tuple of edge objects, and keys its
-unique tables on ``id()``s of those objects.  At kernel throughput that
-representation pays an allocation, a pointer chase and a refcount dance
-per edge touched.  :class:`NodeStore` replaces it with a struct-of-arrays
-layout addressed by dense integer *handles*:
+A node-object representation (one instance per node holding a tuple of
+edge objects, unique tables keyed on ``id()``) pays an allocation, a
+pointer chase and a refcount dance per edge touched at kernel throughput.
+:class:`NodeStore` avoids it with a struct-of-arrays layout addressed by
+dense integer *handles*:
 
 * ``levels``   — one entry per node: the decided qubit level,
 * ``children`` — ``arity`` child handles per node (flat, stride ``arity``),
@@ -20,8 +19,7 @@ walks the probe chain, and verifies candidates against the field arrays —
 so a 64-bit hash collision can never alias two distinct nodes.  The slot
 array doubles (and re-seeds from the per-node hash array) past a 2/3 load
 factor; the field arrays grow by appending, and **nodes are never
-evicted** — exactly the contract of the object engine's dict-backed
-unique tables.
+evicted**.
 
 The hot node fields live in flat Python integer lists rather than numpy
 arrays: the kernels read a handful of *individual* elements per recursion

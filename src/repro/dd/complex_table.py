@@ -96,8 +96,14 @@ class ComplexTable:
                 return stored
         self.misses += 1
         self._table[key] = value
-        self._ids[value] = len(self._ids)
-        self._values.append(value)
+        # Past ~1e6 the float quotient ``value / bucket`` is coarser than
+        # one bucket, so two canonical values further apart than the
+        # tolerance can share a key and evict each other from ``_table``.
+        # A value coming back must keep its id: a second id would shift
+        # every later id off its ``_values`` slot.
+        if value not in self._ids:
+            self._ids[value] = len(self._values)
+            self._values.append(value)
         return value
 
     def id_of(self, canonical: complex) -> int:

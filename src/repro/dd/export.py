@@ -1,23 +1,22 @@
-"""Exporting decision diagrams to dense arrays and size statistics.
+"""Exporting decision diagrams to dense arrays, digests and Graphviz.
 
 Dense export is exponential and exists for testing and for the small
-illustrative figures (paper Fig. 1b / Fig. 3); size statistics drive the
-DD-growth experiments of Section 6.2.
+illustrative figures (paper Fig. 1b / Fig. 3); node counts for the
+DD-growth experiments of Section 6.2 are package methods
+(:meth:`~repro.dd.array_package.ArrayDDPackage.matrix_dd_size`).
 
-Every exporter accepts edges from **either engine**: legacy object edges
-(:class:`~repro.dd.node.VEdge` / :class:`~repro.dd.node.MEdge`) need no
-extra context, while the array engine's packed integer edges carry no
-back-pointer to their node store, so the owning
-:class:`~repro.dd.array_package.ArrayDDPackage` must be passed as
-``pkg``.  The :func:`vector_signature` / :func:`matrix_signature` helpers
-produce engine-independent canonical trees — two diagrams built over a
-*shared* complex table compare bit-identically through them, which is how
-the engine-agreement tests and benchmarks assert ``roots_identical``.
+Packed integer edges carry no back-pointer to their node store, so every
+exporter takes the owning :class:`~repro.dd.array_package.ArrayDDPackage`
+as ``pkg``.  :func:`vector_digest` / :func:`matrix_digest` hash a
+diagram's structure and canonical weights into a sha256 hex string that
+depends on nothing but the diagram, so digests compare across packages
+and processes and can be stored in golden files.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+import hashlib
+from typing import Dict
 
 import numpy as np
 
@@ -27,44 +26,18 @@ from repro.dd.array_package import (
     WEIGHT_MASK,
 )
 from repro.dd.array_store import NodeStore
-from repro.dd.node import MEdge, TERMINAL, VEdge
-
-
-def _require_package(pkg: Optional[ArrayDDPackage]) -> ArrayDDPackage:
-    if pkg is None:
-        raise ValueError(
-            "packed integer edges carry no node-store reference; pass the "
-            "owning ArrayDDPackage as pkg="
-        )
-    return pkg
 
 
 def edge_to_vector(
-    edge, num_qubits: int, pkg: Optional[ArrayDDPackage] = None
+    edge: int, num_qubits: int, pkg: ArrayDDPackage
 ) -> np.ndarray:
     """Expand a vector diagram into a dense ``2^n`` numpy array."""
     out = np.zeros(2**num_qubits, dtype=complex)
-    if isinstance(edge, int):
-        _fill_vector_handle(_require_package(pkg), edge, 0, 1 + 0j, out)
-    else:
-        _fill_vector(edge, 0, 1 + 0j, out)
+    _fill_vector(pkg, edge, 0, 1 + 0j, out)
     return out
 
 
-def _fill_vector(edge: VEdge, offset: int, factor: complex, out: np.ndarray) -> None:
-    if edge.is_zero:
-        return
-    factor = factor * edge.weight
-    if edge.node is TERMINAL:
-        out[offset] += factor
-        return
-    node = edge.node
-    half = 1 << node.level
-    _fill_vector(node.edges[0], offset, factor, out)
-    _fill_vector(node.edges[1], offset + half, factor, out)
-
-
-def _fill_vector_handle(
+def _fill_vector(
     pkg: ArrayDDPackage, edge: int, offset: int, factor: complex, out: np.ndarray
 ) -> None:
     wid = edge & WEIGHT_MASK
@@ -78,12 +51,12 @@ def _fill_vector_handle(
     store = pkg.vec
     half = 1 << store.levels[handle]
     base = handle * 2
-    _fill_vector_handle(
+    _fill_vector(
         pkg,
         (store.children[base] << EDGE_SHIFT) | store.weights[base],
         offset, factor, out,
     )
-    _fill_vector_handle(
+    _fill_vector(
         pkg,
         (store.children[base + 1] << EDGE_SHIFT) | store.weights[base + 1],
         offset + half, factor, out,
@@ -91,36 +64,16 @@ def _fill_vector_handle(
 
 
 def edge_to_matrix(
-    edge, num_qubits: int, pkg: Optional[ArrayDDPackage] = None
+    edge: int, num_qubits: int, pkg: ArrayDDPackage
 ) -> np.ndarray:
     """Expand a matrix diagram into a dense ``2^n x 2^n`` numpy array."""
     dim = 2**num_qubits
     out = np.zeros((dim, dim), dtype=complex)
-    if isinstance(edge, int):
-        _fill_matrix_handle(_require_package(pkg), edge, 0, 0, 1 + 0j, out)
-    else:
-        _fill_matrix(edge, 0, 0, 1 + 0j, out)
+    _fill_matrix(pkg, edge, 0, 0, 1 + 0j, out)
     return out
 
 
 def _fill_matrix(
-    edge: MEdge, row: int, col: int, factor: complex, out: np.ndarray
-) -> None:
-    if edge.is_zero:
-        return
-    factor = factor * edge.weight
-    if edge.node is TERMINAL:
-        out[row, col] += factor
-        return
-    node = edge.node
-    half = 1 << node.level
-    _fill_matrix(node.edges[0], row, col, factor, out)
-    _fill_matrix(node.edges[1], row, col + half, factor, out)
-    _fill_matrix(node.edges[2], row + half, col, factor, out)
-    _fill_matrix(node.edges[3], row + half, col + half, factor, out)
-
-
-def _fill_matrix_handle(
     pkg: ArrayDDPackage,
     edge: int,
     row: int,
@@ -140,240 +93,114 @@ def _fill_matrix_handle(
     half = 1 << store.levels[handle]
     base = handle * 4
     for k, (dr, dc) in enumerate(((0, 0), (0, half), (half, 0), (half, half))):
-        _fill_matrix_handle(
+        _fill_matrix(
             pkg,
             (store.children[base + k] << EDGE_SHIFT) | store.weights[base + k],
             row + dr, col + dc, factor, out,
         )
 
 
-def vector_dd_size(edge, pkg: Optional[ArrayDDPackage] = None) -> int:
-    """Number of distinct non-terminal nodes reachable from ``edge``."""
-    if isinstance(edge, int):
-        return _require_package(pkg).vector_dd_size(edge)
-    seen: Set[int] = set()
-    _count_vector(edge, seen)
-    return len(seen)
-
-
-def _count_vector(edge: VEdge, seen: Set[int]) -> None:
-    node = edge.node
-    if node is TERMINAL or edge.is_zero or id(node) in seen:
-        return
-    seen.add(id(node))
-    for child in node.edges:
-        _count_vector(child, seen)
-
-
-def matrix_dd_size(edge, pkg: Optional[ArrayDDPackage] = None) -> int:
-    """Number of distinct non-terminal nodes reachable from ``edge``.
-
-    This is the "size of the decision diagram" metric of the paper's
-    Section 6.2 discussion (the quantity that blows up under numerical
-    noise for arbitrary-angle circuits).
-    """
-    if isinstance(edge, int):
-        return _require_package(pkg).matrix_dd_size(edge)
-    seen: Set[int] = set()
-    _count_matrix(edge, seen)
-    return len(seen)
-
-
-def _count_matrix(edge: MEdge, seen: Set[int]) -> None:
-    node = edge.node
-    if node is TERMINAL or edge.is_zero or id(node) in seen:
-        return
-    seen.add(id(node))
-    for child in node.edges:
-        _count_matrix(child, seen)
-
-
 # ----------------------------------------------------------------------
-# engine-independent canonical signatures
+# process-independent root digests
 # ----------------------------------------------------------------------
-# Signatures are hash-consed: every distinct (level, child signatures)
-# structure ever signed interns to one small integer id in a process-wide
-# table, so a signature is just ``(root weight, structure id)`` and
-# comparing two of them is O(1).  Naively materialising nested tuples
-# instead would make *equality* exponential — a 65-level identity chain
-# shares each subtree twice per level, and tuple comparison across two
-# separately built trees gets no identity shortcut.
-_SIG_TERMINAL = 0
-_sig_intern: Dict[Tuple, int] = {}
+def vector_digest(edge: int, pkg: ArrayDDPackage) -> str:
+    """sha256 hex digest of a vector diagram's structure and weights.
 
-
-def _intern_signature(key: Tuple) -> int:
-    sid = _sig_intern.get(key)
-    if sid is None:
-        sid = len(_sig_intern) + 1
-        _sig_intern[key] = sid
-    return sid
-
-
-def vector_signature(edge, pkg: Optional[ArrayDDPackage] = None) -> Tuple:
-    """Canonical ``(weight, structure id)`` form of a vector diagram.
-
-    Two diagrams — possibly from *different* engines — have equal
-    signatures iff they have the same structure and the same canonical
-    edge weights.  Build both over one shared
-    :class:`~repro.dd.complex_table.ComplexTable` for the weights to be
-    bit-comparable.
+    A depth-first walk hashes each node from its level and, in child
+    order, each child edge's ``repr`` of the canonical weight plus the
+    child's own digest (memoized per call, so shared sub-diagrams are
+    hashed once).  Two diagrams have equal digests iff they have the same
+    structure and bit-identical canonical weights — in any package, in
+    any process.
     """
-    if isinstance(edge, int):
-        return _signature_handle(
-            _require_package(pkg), _require_package(pkg).vec, edge, {}
-        )
-    return _signature_object(edge, {})
+    return _digest(pkg, pkg.vec, edge)
 
 
-def matrix_signature(edge, pkg: Optional[ArrayDDPackage] = None) -> Tuple:
-    """Canonical ``(weight, structure id)`` form of a matrix diagram
-    (see :func:`vector_signature`)."""
-    if isinstance(edge, int):
-        return _signature_handle(
-            _require_package(pkg), _require_package(pkg).mat, edge, {}
-        )
-    return _signature_object(edge, {})
+def matrix_digest(edge: int, pkg: ArrayDDPackage) -> str:
+    """sha256 hex digest of a matrix diagram (see :func:`vector_digest`)."""
+    return _digest(pkg, pkg.mat, edge)
 
 
-def _signature_object(edge, memo: Dict[int, int]) -> Tuple:
-    if edge.is_zero:
-        return (0j, _SIG_TERMINAL)
-    node = edge.node
-    if node is TERMINAL:
-        return (edge.weight, _SIG_TERMINAL)
-    sid = memo.get(id(node))
-    if sid is None:
-        key = (node.level,) + tuple(
-            _signature_object(child, memo) for child in node.edges
-        )
-        sid = _intern_signature(key)
-        memo[id(node)] = sid
-    return (edge.weight, sid)
+def _digest(pkg: ArrayDDPackage, store: NodeStore, edge: int) -> str:
+    memo: Dict[int, str] = {0: "T"}
+    arity = store.arity
 
+    def edge_token(edge: int) -> str:
+        wid = edge & WEIGHT_MASK
+        if wid == 0:
+            return "0"
+        return f"{pkg.weight_value(wid)!r}:{node_digest(edge >> EDGE_SHIFT)}"
 
-def _signature_handle(
-    pkg: ArrayDDPackage, store: NodeStore, edge: int, memo: Dict[int, int]
-) -> Tuple:
-    wid = edge & WEIGHT_MASK
-    if wid == 0:
-        return (0j, _SIG_TERMINAL)
-    weight = pkg.weight_value(wid)
-    handle = edge >> EDGE_SHIFT
-    if handle == 0:
-        return (weight, _SIG_TERMINAL)
-    sid = memo.get(handle)
-    if sid is None:
-        arity = store.arity
-        base = handle * arity
-        key = (store.levels[handle],) + tuple(
-            _signature_handle(
-                pkg,
-                store,
-                (store.children[base + k] << EDGE_SHIFT)
-                | store.weights[base + k],
-                memo,
-            )
-            for k in range(arity)
-        )
-        sid = _intern_signature(key)
-        memo[handle] = sid
-    return (weight, sid)
+    def node_digest(handle: int) -> str:
+        digest = memo.get(handle)
+        if digest is None:
+            base = handle * arity
+            h = hashlib.sha256(str(store.levels[handle]).encode())
+            for k in range(arity):
+                child = store.children[base + k] << EDGE_SHIFT
+                token = edge_token(child | store.weights[base + k])
+                h.update(b"|" + token.encode())
+            digest = memo[handle] = h.hexdigest()
+        return digest
+
+    return hashlib.sha256(edge_token(edge).encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
 # Graphviz rendering
 # ----------------------------------------------------------------------
-def matrix_dd_to_dot(
-    edge, name: str = "dd", pkg: Optional[ArrayDDPackage] = None
-) -> str:
+def matrix_dd_to_dot(edge: int, pkg: ArrayDDPackage, name: str = "dd") -> str:
     """Graphviz DOT rendering of a matrix decision diagram.
 
     Follows the visualization style of Wille et al., "Visualizing decision
     diagrams for quantum computing" (reference [37] of the paper): edge
     labels carry the complex weights, node labels the decided qubit level,
     and the four outgoing edges are ordered ``(00, 01, 10, 11)``.
-    Accepts both engines; packed integer edges additionally need ``pkg``.
     """
-    if isinstance(edge, int):
-        package = _require_package(pkg)
-        store = package.mat
-        entry = (
-            None
-            if edge & WEIGHT_MASK == 0
-            else (edge >> EDGE_SHIFT, package.weight_value(edge & WEIGHT_MASK))
-        )
-
-        def children_of(handle: int):
-            base = handle * 4
-            for k in range(4):
-                wid = store.weights[base + k]
-                if wid != 0:
-                    yield k, store.children[base + k], package.weight_value(wid)
-
-        def level_of(handle: int) -> int:
-            return store.levels[handle]
-
-        terminal_token = 0
-    else:
-        entry = None if edge.is_zero else (edge.node, edge.weight)
-
-        def children_of(node):
-            for k, child in enumerate(node.edges):
-                if not child.is_zero:
-                    yield k, child.node, child.weight
-
-        def level_of(node) -> int:
-            return node.level
-
-        terminal_token = TERMINAL
-
-    def is_terminal(node) -> bool:
-        if isinstance(node, int):
-            return node == terminal_token
-        return node is terminal_token
-
+    store = pkg.mat
     lines = [f"digraph {name} {{", "  rankdir=TB;", '  root [shape=point];']
-    ids: Dict[object, str] = {}
+    ids: Dict[int, str] = {}
 
-    def node_id(node) -> str:
-        if is_terminal(node):
+    def node_id(handle: int) -> str:
+        if handle == 0:
             return "terminal"
-        key = node if isinstance(node, int) else id(node)
-        if key not in ids:
-            ids[key] = f"n{len(ids)}"
-        return ids[key]
+        if handle not in ids:
+            ids[handle] = f"n{len(ids)}"
+        return ids[handle]
 
     def weight_label(weight: complex) -> str:
         return f"{weight.real:.4g}{weight.imag:+.4g}i"
 
     visited = set()
 
-    def walk(node) -> None:
-        if is_terminal(node):
+    def walk(handle: int) -> None:
+        if handle == 0 or handle in visited:
             return
-        key = node if isinstance(node, int) else id(node)
-        if key in visited:
-            return
-        visited.add(key)
+        visited.add(handle)
         lines.append(
-            f'  {node_id(node)} [label="q{level_of(node)}", shape=circle];'
+            f'  {node_id(handle)} [label="q{store.levels[handle]}", '
+            "shape=circle];"
         )
-        for index, child, weight in children_of(node):
-            label = f"{index >> 1}{index & 1}"
+        base = handle * 4
+        for k in range(4):
+            wid = store.weights[base + k]
+            if wid == 0:
+                continue
+            child = store.children[base + k]
             lines.append(
-                f"  {node_id(node)} -> {node_id(child)} "
-                f'[label="{label}: {weight_label(weight)}"];'
+                f"  {node_id(handle)} -> {node_id(child)} "
+                f'[label="{k >> 1}{k & 1}: '
+                f'{weight_label(pkg.weight_value(wid))}"];'
             )
             walk(child)
 
     lines.append('  terminal [label="1", shape=box];')
-    if entry is not None:
-        root_node, root_weight = entry
+    if edge & WEIGHT_MASK != 0:
+        root = edge >> EDGE_SHIFT
         lines.append(
-            f"  root -> {node_id(root_node)} "
-            f'[label="{weight_label(root_weight)}"];'
+            f"  root -> {node_id(root)} "
+            f'[label="{weight_label(pkg.weight_value(edge & WEIGHT_MASK))}"];'
         )
-        walk(root_node)
+        walk(root)
     lines.append("}")
     return "\n".join(lines)

@@ -7,31 +7,15 @@ controls ``C`` satisfies::
 
 i.e. the controlled gate is the identity plus a pure tensor-product
 correction term (``P1 = |1><1|``).  Tensor products with identity defaults
-are exactly what :meth:`repro.dd.package.DDPackage.layered_kron` builds, so
-every standard-gate DD is one ``layered_kron`` plus one DD addition — and a
-two-target base gate needs four correction terms (one per 2x2 block of
-``G - I``).
+are exactly what :meth:`repro.dd.array_package.ArrayDDPackage.layered_kron`
+builds, so every standard-gate DD is one ``layered_kron`` plus one DD
+addition — and a two-target base gate needs four correction terms (one per
+2x2 block of ``G - I``).
 
-Gate *application* has two code paths:
-
-* the **direct** fast path (default): build a *compact* gate diagram only
-  up to the highest qubit the operation touches and hand it to the
-  ``apply_gate_*`` kernels of the package, which pass untouched upper
-  levels through structurally;
-* the **legacy** path (``direct=False``): build the full ``n``-qubit gate
-  diagram and perform a full-depth DD multiplication — the seed behaviour,
-  kept selectable through :class:`repro.ec.configuration.Configuration`
-  for A/B ablation benchmarks.
-
-All functions here are **engine-polymorphic**: they only call the package
-method surface (``layered_kron``, ``identity``, ``add``,
-``make_matrix_node``, ``apply_gate_*``, ``multiply*``), which
-:class:`~repro.dd.package.DDPackage` and
-:class:`~repro.dd.array_package.ArrayDDPackage` both implement — the
-former over ``MEdge`` objects, the latter over packed integer edges.  The
-``pkg``/edge type hints below are written against the object engine for
-readability; batched column application lives in
-:mod:`repro.dd.array_gates`.
+Gates are applied through the package's ``apply_gate_*`` kernels: a
+*compact* gate diagram is built only up to the highest qubit the operation
+touches, and the kernels pass untouched upper levels through structurally.
+Batched column application lives in :mod:`repro.dd.array_gates`.
 """
 
 from __future__ import annotations
@@ -42,13 +26,14 @@ import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gate import Operation
-from repro.dd.node import MEdge, VEdge
-from repro.dd.package import DDPackage
+from repro.dd.array_package import ArrayDDPackage
 
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
-def operation_dd(pkg: DDPackage, op: Operation, num_qubits: int) -> MEdge:
+def operation_dd(
+    pkg: ArrayDDPackage, op: Operation, num_qubits: int
+) -> int:
     """Build the full ``n``-qubit matrix DD of one operation.
 
     Results are memoized per package: circuits apply the same few gates
@@ -68,7 +53,7 @@ def operation_dd(pkg: DDPackage, op: Operation, num_qubits: int) -> MEdge:
     return result
 
 
-def compact_operation_dd(pkg: DDPackage, op: Operation) -> MEdge:
+def compact_operation_dd(pkg: ArrayDDPackage, op: Operation) -> int:
     """The gate DD built only up to the highest qubit the operation touches.
 
     The returned diagram's root level is ``max(op.qubits)``; the
@@ -77,7 +62,9 @@ def compact_operation_dd(pkg: DDPackage, op: Operation) -> MEdge:
     return operation_dd(pkg, op, max(op.qubits) + 1)
 
 
-def _build_operation_dd(pkg: DDPackage, op: Operation, num_qubits: int) -> MEdge:
+def _build_operation_dd(
+    pkg: ArrayDDPackage, op: Operation, num_qubits: int
+) -> int:
     if op.name == "swap" and not op.controls:
         return swap_dd(pkg, op.targets[0], op.targets[1], num_qubits)
     base = op.matrix()
@@ -113,7 +100,9 @@ def _build_operation_dd(pkg: DDPackage, op: Operation, num_qubits: int) -> MEdge
     raise ValueError(f"unsupported number of targets: {len(op.targets)}")
 
 
-def swap_dd(pkg: DDPackage, qubit_a: int, qubit_b: int, num_qubits: int) -> MEdge:
+def swap_dd(
+    pkg: ArrayDDPackage, qubit_a: int, qubit_b: int, num_qubits: int
+) -> int:
     """Direct construction of the SWAP-gate matrix DD.
 
     ``SWAP = Σ_{i,j} |j><i| at the high qubit ⊗ |i><j| at the low qubit``
@@ -149,47 +138,27 @@ def swap_dd(pkg: DDPackage, qubit_a: int, qubit_b: int, num_qubits: int) -> MEdg
 
 
 def apply_operation_left(
-    pkg: DDPackage,
-    accumulated: MEdge,
-    op: Operation,
-    num_qubits: int,
-    direct: bool = True,
-) -> MEdge:
+    pkg: ArrayDDPackage, accumulated: int, op: Operation
+) -> int:
     """Return ``U_op @ accumulated`` (gate applied after the product)."""
-    if direct:
-        return pkg.apply_gate_left(compact_operation_dd(pkg, op), accumulated)
-    return pkg.multiply(operation_dd(pkg, op, num_qubits), accumulated)
+    return pkg.apply_gate_left(compact_operation_dd(pkg, op), accumulated)
 
 
 def apply_operation_right(
-    pkg: DDPackage,
-    accumulated: MEdge,
-    op: Operation,
-    num_qubits: int,
-    direct: bool = True,
-) -> MEdge:
+    pkg: ArrayDDPackage, accumulated: int, op: Operation
+) -> int:
     """Return ``accumulated @ U_op`` (gate applied before the product)."""
-    if direct:
-        return pkg.apply_gate_right(accumulated, compact_operation_dd(pkg, op))
-    return pkg.multiply(accumulated, operation_dd(pkg, op, num_qubits))
+    return pkg.apply_gate_right(accumulated, compact_operation_dd(pkg, op))
 
 
 def apply_operation_to_vector(
-    pkg: DDPackage,
-    state: VEdge,
-    op: Operation,
-    num_qubits: int,
-    direct: bool = True,
-) -> VEdge:
+    pkg: ArrayDDPackage, state: int, op: Operation
+) -> int:
     """Return ``U_op |state>`` — one DD simulation step."""
-    if direct:
-        return pkg.apply_gate_vector(compact_operation_dd(pkg, op), state)
-    return pkg.multiply_matrix_vector(operation_dd(pkg, op, num_qubits), state)
+    return pkg.apply_gate_vector(compact_operation_dd(pkg, op), state)
 
 
-def circuit_dd(
-    pkg: DDPackage, circuit: QuantumCircuit, direct: bool = True
-) -> MEdge:
+def circuit_dd(pkg: ArrayDDPackage, circuit: QuantumCircuit) -> int:
     """Build the full system-matrix DD ``U = U_{m-1} ... U_0`` of a circuit.
 
     This is the naive *construction* strategy of Section 4.1 — potentially
@@ -198,30 +167,25 @@ def circuit_dd(
     """
     result = pkg.identity(circuit.num_qubits)
     for op in circuit:
-        result = apply_operation_left(
-            pkg, result, op, circuit.num_qubits, direct=direct
-        )
+        result = apply_operation_left(pkg, result, op)
     return result
 
 
 def simulate_circuit_dd(
-    pkg: DDPackage,
+    pkg: ArrayDDPackage,
     circuit: QuantumCircuit,
-    initial: Optional[VEdge] = None,
-    direct: bool = True,
-) -> VEdge:
+    initial: Optional[int] = None,
+) -> int:
     """Run the circuit on a vector DD (default ``|0...0>``)."""
     state = initial if initial is not None else pkg.basis_state(circuit.num_qubits)
     for op in circuit:
-        state = apply_operation_to_vector(
-            pkg, state, op, circuit.num_qubits, direct=direct
-        )
+        state = apply_operation_to_vector(pkg, state, op)
     return state
 
 
 def permutation_dd(
-    pkg: DDPackage, permutation: Dict[int, int], num_qubits: int
-) -> MEdge:
+    pkg: ArrayDDPackage, permutation: Dict[int, int], num_qubits: int
+) -> int:
     """Matrix DD moving the state of wire ``k`` to wire ``permutation[k]``.
 
     Realized as a product of SWAP-gate DDs obtained from the cycle

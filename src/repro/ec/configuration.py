@@ -53,11 +53,6 @@ class Configuration:
         trace_sizes: Record the intermediate DD size after every gate
             application (drives the Fig. 4-style experiments).
         seed: Seed for the simulation strategy's random stimuli.
-        direct_application: Use the fast-path ``apply_gate_*`` kernels
-            that skip untouched upper qubit levels (default).  ``False``
-            selects the legacy full-height gate-DD construction plus
-            full-depth multiplication — the seed behaviour, kept for A/B
-            ablation benchmarks.
         compute_table_size: Slots per DD compute table (rounded up to a
             power of two), or ``None`` for unbounded dict-backed tables.
         incremental_zx: Use the incremental worklist-driven ZX
@@ -65,16 +60,6 @@ class Configuration:
             ``False`` selects the legacy rescan-to-fixpoint drivers in
             :mod:`repro.zx.simplify` — the seed behaviour, kept for A/B
             ablation benchmarks (CLI ``--legacy-zx-simp``).
-        array_dd: Use the array-native DD engine
-            (:mod:`repro.dd.array_package`: struct-of-arrays node store,
-            packed integer edges, id-keyed weight arithmetic) and, for
-            the simulation strategy, batch all stimuli as one
-            matrix-of-columns pass per gate.  ``False`` selects the
-            legacy object engine (:mod:`repro.dd.package`) with
-            per-stimulus simulation — kept for A/B ablation benchmarks
-            and engine-agreement tests (CLI ``--legacy-dd``).  Note the
-            batched simulation always runs every stimulus to completion
-            (no early exit mid-batch); the verdict is unchanged.
         graceful_degradation: Catch checker failures inside
             :meth:`EquivalenceCheckingManager.run` and degrade them into
             a ``NO_INFORMATION`` result carrying a structured
@@ -125,10 +110,8 @@ class Configuration:
     elide_permutations: bool = True
     trace_sizes: bool = False
     seed: Optional[int] = None
-    direct_application: bool = True
     compute_table_size: Optional[int] = DEFAULT_COMPUTE_TABLE_SIZE
     incremental_zx: bool = True
-    array_dd: bool = True
     graceful_degradation: bool = True
     memory_limit_mb: Optional[int] = None
     max_retries: int = 1
@@ -195,10 +178,6 @@ class Configuration:
                 f"max_retries must be non-negative, got {self.max_retries!r}"
             )
         self._require_positive_number("retry_backoff", self.retry_backoff)
-        if not isinstance(self.array_dd, bool):
-            raise ValueError(
-                f"array_dd must be a bool, got {self.array_dd!r}"
-            )
         if not isinstance(self.portfolio, bool):
             raise ValueError(
                 f"portfolio must be a bool, got {self.portfolio!r}"

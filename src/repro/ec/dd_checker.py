@@ -19,10 +19,9 @@ wires either circuit touches: a compiled circuit's idle device wires only
 add identity levels to every DD (``active_qubits`` / ``elided_wires`` in
 the statistics record the compact width).
 
-Gates are merged into the accumulated product through the fast-path
-``apply_gate_*`` kernels by default (only the diagram below a gate's top
-qubit is traversed); ``Configuration.direct_application=False`` selects
-the legacy full-height construction for ablations.  Every result carries
+Gates are merged into the accumulated product through the
+``apply_gate_*`` kernels (only the diagram below a gate's top qubit is
+traversed).  Every result carries
 a ``perf`` statistics block (phase wall times, compute-table and
 complex-table counters) produced by :mod:`repro.perf`.
 """
@@ -34,11 +33,7 @@ from typing import List, Optional
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.dd.array_package import ArrayDDPackage
-from repro.dd.gates import (
-    apply_operation_left,
-    apply_operation_right,
-)
-from repro.dd.package import DDPackage
+from repro.dd.gates import apply_operation_left, apply_operation_right
 from repro.ec.configuration import Configuration
 from repro.ec.permutations import logical_pair
 from repro.ec.results import (
@@ -54,22 +49,16 @@ def _check_deadline(deadline: Optional[float]) -> None:
         raise EquivalenceCheckingTimeout()
 
 
-def make_package(configuration: Configuration):
-    """Construct the DD engine selected by ``Configuration.array_dd``.
-
-    Both engines expose the same algebra and the same engine-uniform edge
-    accessors (``edge_node`` / ``edge_weight`` / ``matrix_dd_size`` /
-    ``vector_dd_size``), so every checker below runs unchanged on either.
-    """
-    cls = ArrayDDPackage if configuration.array_dd else DDPackage
-    return cls(
+def make_package(configuration: Configuration) -> ArrayDDPackage:
+    """A fresh DD package with the configured tolerance and table size."""
+    return ArrayDDPackage(
         configuration.tolerance,
         compute_table_size=configuration.compute_table_size,
     )
 
 
 def _phase_verdict(
-    pkg: DDPackage, edge, num_qubits: int, threshold: float
+    pkg: ArrayDDPackage, edge: int, num_qubits: int, threshold: float
 ) -> Equivalence:
     """Classify a product DD that should represent the identity."""
     if pkg.is_identity(edge, num_qubits, up_to_global_phase=False):
@@ -102,7 +91,6 @@ class ConstructionChecker:
     def run(self, deadline: Optional[float] = None) -> EquivalenceCheckingResult:
         start = time.monotonic()
         pkg = self.package
-        direct = self.configuration.direct_application
         perf = PerfCounters()
         edges = []
         max_size = 0
@@ -111,9 +99,7 @@ class ConstructionChecker:
                 accumulated = pkg.identity(self.num_qubits)
                 for op in circuit:
                     _check_deadline(deadline)
-                    accumulated = apply_operation_left(
-                        pkg, accumulated, op, self.num_qubits, direct=direct
-                    )
+                    accumulated = apply_operation_left(pkg, accumulated, op)
                     perf.count("gate_applications")
                     if self.configuration.trace_sizes:
                         max_size = max(
@@ -122,8 +108,7 @@ class ConstructionChecker:
                 edges.append(accumulated)
         first, second = edges
         with perf.phase("verdict"):
-            # Canonicity: equal functions share one node (object identity
-            # in the legacy engine, handle equality in the array engine).
+            # Canonicity: equal functions share one node handle.
             if pkg.edge_node(first) == pkg.edge_node(second):
                 weight_delta = abs(
                     pkg.edge_weight(first) - pkg.edge_weight(second)
@@ -239,7 +224,6 @@ class AlternatingChecker:
         start = time.monotonic()
         pkg = self.package
         config = self.configuration
-        direct = config.direct_application
         perf = PerfCounters()
         gates1 = [op.inverse() for op in self.logical1]  # applied right
         gates2 = list(self.logical2.operations)  # applied left
@@ -255,13 +239,11 @@ class AlternatingChecker:
                     candidate1 = candidate2 = None
                     if index1 < len(gates1):
                         candidate1 = apply_operation_right(
-                            pkg, accumulated, gates1[index1],
-                            self.num_qubits, direct=direct,
+                            pkg, accumulated, gates1[index1]
                         )
                     if index2 < len(gates2):
                         candidate2 = apply_operation_left(
-                            pkg, accumulated, gates2[index2],
-                            self.num_qubits, direct=direct,
+                            pkg, accumulated, gates2[index2]
                         )
                     if candidate2 is None or (
                         candidate1 is not None
@@ -294,14 +276,12 @@ class AlternatingChecker:
                     _check_deadline(deadline)
                     if side == 1:
                         accumulated = apply_operation_right(
-                            pkg, accumulated, gates1[index1],
-                            self.num_qubits, direct=direct,
+                            pkg, accumulated, gates1[index1]
                         )
                         index1 += 1
                     else:
                         accumulated = apply_operation_left(
-                            pkg, accumulated, gates2[index2],
-                            self.num_qubits, direct=direct,
+                            pkg, accumulated, gates2[index2]
                         )
                         index2 += 1
                     perf.count("gate_applications")

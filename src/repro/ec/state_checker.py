@@ -44,9 +44,7 @@ def state_check(
         state = pkg.basis_state(num_qubits)
         for op in logical:
             _check_deadline(deadline)
-            state = apply_operation_to_vector(
-                pkg, state, op, num_qubits, direct=config.direct_application
-            )
+            state = apply_operation_to_vector(pkg, state, op)
         states.append(state)
         max_size = max(max_size, pkg.vector_dd_size(state))
     overlap = pkg.inner_product(states[0], states[1])
@@ -67,7 +65,6 @@ def state_check(
             "max_state_dd_size": max_size,
             **pair.width_statistics(),
             # canonicity bonus: equal states share the very same node
-            # (object identity or handle equality, by engine)
             "same_canonical_node": (
                 pkg.edge_node(states[0]) == pkg.edge_node(states[1])
             ),

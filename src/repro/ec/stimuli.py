@@ -27,6 +27,7 @@ import random
 from typing import List, Optional, Sequence
 
 from repro.circuit.circuit import QuantumCircuit
+from repro.dd.array_package import ArrayDDPackage
 
 #: The supported stimuli families.
 STIMULI_TYPES = ("classical", "local_quantum", "global_quantum")
@@ -109,34 +110,24 @@ def generate_stimulus(
 
 
 def prepare_stimulus_state(
-    pkg,
-    stimulus: QuantumCircuit,
-    num_qubits: int,
-    direct: bool = True,
-):
+    pkg: ArrayDDPackage, stimulus: QuantumCircuit, num_qubits: int
+) -> int:
     """Run a stimulus-preparation circuit on ``|0...0>`` as a vector DD.
 
-    Uses the fast-path vector kernel by default, so preparing a stimulus
-    on a wide compiled register touches only the data-qubit levels.
-    ``pkg`` may be either DD engine; the returned edge is whatever type
-    that engine produces (``VEdge`` or a packed integer).
+    The vector kernel touches only the levels up to each gate's top
+    qubit, so preparing a stimulus on a wide register stays cheap.
     """
     from repro.dd.gates import apply_operation_to_vector
 
     state = pkg.basis_state(num_qubits)
     for op in stimulus:
-        state = apply_operation_to_vector(
-            pkg, state, op, num_qubits, direct=direct
-        )
+        state = apply_operation_to_vector(pkg, state, op)
     return state
 
 
 def prepare_stimulus_columns(
-    pkg,
-    stimuli: Sequence[QuantumCircuit],
-    num_qubits: int,
-    direct: bool = True,
-) -> List:
+    pkg: ArrayDDPackage, stimuli: Sequence[QuantumCircuit], num_qubits: int
+) -> List[int]:
     """Prepare one column state per stimulus, for batched simulation.
 
     The columns all live in ``pkg``, so node sharing across stimuli is
@@ -145,6 +136,6 @@ def prepare_stimulus_columns(
     compute-table fills across the batch width.
     """
     return [
-        prepare_stimulus_state(pkg, stimulus, num_qubits, direct=direct)
+        prepare_stimulus_state(pkg, stimulus, num_qubits)
         for stimulus in stimuli
     ]

@@ -16,7 +16,6 @@ from repro.lint.rules.resources import ResourceLeakRule
 from repro.lint.rules.syntactic import (
     CounterNamespaceRule,
     NoForkRule,
-    NoObjectDDRule,
     NoWallclockRule,
     SeededRngRule,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "DeadlinePropagationRule",
     "ErrorTaxonomyRule",
     "NoForkRule",
-    "NoObjectDDRule",
     "NoWallclockRule",
     "ResourceLeakRule",
     "SeededRngRule",
@@ -48,7 +46,6 @@ def default_rules() -> List[Rule]:
         CounterNamespaceRule(),
         NoWallclockRule(),
         NoForkRule(),
-        NoObjectDDRule(),
         SoundnessTaintRule(),
         ResourceLeakRule(),
         ErrorTaxonomyRule(),

@@ -1,7 +1,7 @@
 """The call-pattern rules, re-hosted on the CFG/project substrate.
 
-These five rules (``seeded-rng``, ``counter-namespace``,
-``no-wallclock``, ``no-fork``, ``no-object-dd``) predate the dataflow
+These four rules (``seeded-rng``, ``counter-namespace``,
+``no-wallclock``, ``no-fork``) predate the dataflow
 engine; their semantics are unchanged from the original single-pass AST
 lint, but they now iterate CFG call sites, so every finding carries its
 enclosing function and the same precise line attribution as the
@@ -48,9 +48,6 @@ FORK_CALLS = {
 
 #: Bare-name process constructors (``from multiprocessing import Process``).
 FORK_NAMES = {"Process", "Pool", "get_context"}
-
-#: Legacy object-engine constructors banned in the array DD modules.
-OBJECT_DD_NAMES = {"VNode", "MNode", "VEdge", "MEdge"}
 
 
 class SeededRngRule(Rule):
@@ -202,35 +199,4 @@ class NoForkRule(Rule):
                             info,
                         )
                     )
-        return findings
-
-
-class NoObjectDDRule(Rule):
-    """Array-native DD modules must never allocate legacy node objects."""
-
-    id = "no-object-dd"
-
-    def run(self, project: Project) -> List[Finding]:
-        findings: List[Finding] = []
-        for module in project.iter_modules():
-            parts = module.relpath.split("/")
-            if parts[0] != "dd" or not parts[-1].startswith("array_"):
-                continue
-            for node, call, info in iter_call_sites(module):
-                dotted = dotted_name(call.func)
-                if (
-                    dotted is None
-                    or dotted.split(".")[-1] not in OBJECT_DD_NAMES
-                ):
-                    continue
-                findings.append(
-                    self.finding(
-                        module,
-                        call.lineno,
-                        f"{dotted}() allocates a legacy DD object in an "
-                        "array-native module; use handles and packed "
-                        "integer edges",
-                        info,
-                    )
-                )
         return findings

@@ -2,17 +2,16 @@
 
 Every equivalence check can carry a :class:`PerfCounters` that records
 wall time per checker phase plus ad-hoc counters, and
-:func:`package_statistics` snapshots a :class:`repro.dd.DDPackage`'s
-compute-table hit/miss/eviction counters, complex-table statistics and
-unique-node counts.  The ZX checker threads the same ``PerfCounters``
+:func:`package_statistics` snapshots a :class:`repro.dd.ArrayDDPackage`'s
+compute-table hit/miss/eviction counters, complex-table statistics,
+unique-node counts and node-store probe counters.  The ZX checker threads the same ``PerfCounters``
 through ``full_reduce``, which reports per-rule ``zx.<rule>.matches`` /
 ``zx.<rule>.rewrites`` counts plus ``zx.rounds`` (outer rounds to
 fixpoint) and the ``simplify`` / ``chain_contraction`` phase timers.
 Everything is a plain dictionary once serialized, so it flows through
 :class:`repro.ec.results.EquivalenceCheckingResult` and the CLI
 ``--verbose`` output unchanged, and lands in benchmark JSON artifacts
-(``BENCH_dd_kernels.json``, ``BENCH_zx_simplify.json``) for trend
-tracking.
+(e.g. ``BENCH_zx_simplify.json``) for trend tracking.
 """
 
 from repro.perf.counters import (

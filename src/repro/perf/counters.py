@@ -101,24 +101,19 @@ def json_safe(value: object) -> object:
 def package_statistics(pkg) -> Dict[str, object]:
     """Snapshot one DD package's internal performance counters.
 
-    Accepts either DD engine (:class:`repro.dd.package.DDPackage` or
-    :class:`repro.dd.array_package.ArrayDDPackage`).  Returns a nested
-    dict with per-compute-table hit/miss/eviction statistics, the complex
-    table's hit/miss/size, and unique-node totals (the node counts are
-    cumulative — unique tables never evict, so the final count is also
-    the peak).  The array engine additionally reports its node-store
-    growth and open-addressed unique-table probe counters under
-    ``node_stores``.
+    ``pkg`` is a :class:`repro.dd.array_package.ArrayDDPackage`.  Returns
+    a nested dict with per-compute-table hit/miss/eviction statistics,
+    the complex table's hit/miss/size, unique-node totals (the node
+    counts are cumulative — unique tables never evict, so the final count
+    is also the peak), and the node-store growth and open-addressed
+    unique-table probe counters under ``node_stores``.
     """
-    stats: Dict[str, object] = {
+    return {
         "compute_tables": pkg.compute_table_stats(),
         "complex_table": pkg.complex_table.stats(),
         "unique_matrix_nodes": pkg.num_unique_matrix_nodes(),
         "unique_vector_nodes": pkg.num_unique_vector_nodes(),
         "matrix_nodes_created": pkg.matrix_nodes_created,
         "vector_nodes_created": pkg.vector_nodes_created,
+        "node_stores": pkg.store_statistics(),
     }
-    store_statistics = getattr(pkg, "store_statistics", None)
-    if callable(store_statistics):
-        stats["node_stores"] = store_statistics()
-    return stats

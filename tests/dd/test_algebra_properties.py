@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dd import DDPackage, edge_to_matrix, edge_to_vector
+from repro.dd import ArrayDDPackage, edge_to_matrix, edge_to_vector
 from repro.dd.gates import circuit_dd, simulate_circuit_dd
 from tests.conftest import random_circuit
 
@@ -24,7 +24,7 @@ _N = 3
 
 def _close(pkg, left, right, n):
     np.testing.assert_allclose(
-        edge_to_matrix(left, n), edge_to_matrix(right, n), atol=1e-8
+        edge_to_matrix(left, n, pkg), edge_to_matrix(right, n, pkg), atol=1e-8
     )
 
 
@@ -40,7 +40,7 @@ class TestAlgebraLaws:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 100_000))
     def test_multiplication_associative(self, seed):
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         a, b, c = [circuit_dd(pkg, x) for x in _three_circuits(seed)]
         left = pkg.multiply(pkg.multiply(a, b), c)
         right = pkg.multiply(a, pkg.multiply(b, c))
@@ -49,18 +49,20 @@ class TestAlgebraLaws:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 100_000))
     def test_left_distributivity(self, seed):
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         a, b, c = [circuit_dd(pkg, x) for x in _three_circuits(seed)]
         left = pkg.multiply(a, pkg.add(b, c))
         right = pkg.add(pkg.multiply(a, b), pkg.multiply(a, c))
         np.testing.assert_allclose(
-            edge_to_matrix(left, _N), edge_to_matrix(right, _N), atol=1e-8
+            edge_to_matrix(left, _N, pkg),
+            edge_to_matrix(right, _N, pkg),
+            atol=1e-8,
         )
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 100_000))
     def test_adjoint_anti_homomorphism(self, seed):
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         a, b, _ = [circuit_dd(pkg, x) for x in _three_circuits(seed)]
         left = pkg.conjugate_transpose(pkg.multiply(a, b))
         right = pkg.multiply(
@@ -71,7 +73,7 @@ class TestAlgebraLaws:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 100_000))
     def test_adjoint_involutive(self, seed):
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         a, _, _ = [circuit_dd(pkg, x) for x in _three_circuits(seed)]
         double = pkg.conjugate_transpose(pkg.conjugate_transpose(a))
         _close(pkg, double, a, _N)
@@ -79,7 +81,7 @@ class TestAlgebraLaws:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 100_000))
     def test_trace_cyclic(self, seed):
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         a, b, _ = [circuit_dd(pkg, x) for x in _three_circuits(seed)]
         tr_ab = pkg.trace(pkg.multiply(a, b))
         tr_ba = pkg.trace(pkg.multiply(b, a))
@@ -88,18 +90,20 @@ class TestAlgebraLaws:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 100_000))
     def test_addition_commutative_and_canonical(self, seed):
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         a, b, _ = [circuit_dd(pkg, x) for x in _three_circuits(seed)]
         left = pkg.add(a, b)
         right = pkg.add(b, a)
-        assert left.node is right.node
-        assert left.weight == pytest.approx(right.weight, abs=1e-9)
+        assert pkg.edge_node(left) == pkg.edge_node(right)
+        assert pkg.edge_weight(left) == pytest.approx(
+            pkg.edge_weight(right), abs=1e-9
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 100_000))
     def test_matrix_vector_consistent_with_matrix_product(self, seed):
         """(A B)|0...0> equals A (B |0...0>)."""
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         circuit_a, circuit_b, _ = _three_circuits(seed)
         a = circuit_dd(pkg, circuit_a)
         b = circuit_dd(pkg, circuit_b)
@@ -109,15 +113,15 @@ class TestAlgebraLaws:
             a, pkg.multiply_matrix_vector(b, zero)
         )
         np.testing.assert_allclose(
-            edge_to_vector(via_matrix, _N),
-            edge_to_vector(via_vector, _N),
+            edge_to_vector(via_matrix, _N, pkg),
+            edge_to_vector(via_vector, _N, pkg),
             atol=1e-8,
         )
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 100_000))
     def test_inner_product_conjugate_symmetry(self, seed):
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         circuit_a, circuit_b, _ = _three_circuits(seed)
         va = simulate_circuit_dd(pkg, circuit_a)
         vb = simulate_circuit_dd(pkg, circuit_b)
@@ -126,11 +130,11 @@ class TestAlgebraLaws:
         assert ab == pytest.approx(ba.conjugate(), abs=1e-9)
 
     def test_clear_compute_tables_preserves_results(self):
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         a = circuit_dd(pkg, random_circuit(_N, 10, seed=5))
         b = circuit_dd(pkg, random_circuit(_N, 10, seed=6))
         before = pkg.multiply(a, b)
         pkg.clear_compute_tables()
         after = pkg.multiply(a, b)
-        assert before.node is after.node
-        assert before.weight == after.weight
+        assert pkg.edge_node(before) == pkg.edge_node(after)
+        assert pkg.edge_weight(before) == pkg.edge_weight(after)

@@ -1,29 +1,29 @@
 """Tests for the array-native DD engine (`repro.dd.array_package` /
 `repro.dd.array_store`).
 
-The struct-of-arrays node store and the packed-integer algebra must be
-drop-in equivalents of the object engine: canonical handles play the
-role of node identity, the open-addressed unique table the role of the
-dict unique tables (including growth from pathologically small
-capacities), and dense exports must agree with numpy to the last ulp
-the shared complex table admits.
+Canonical handles play the role of node identity, the open-addressed
+unique table guarantees canonicity (including growth from pathologically
+small capacities), dense exports agree with numpy, and root digests are
+independent of the package and the process that built them.
 """
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.circuit import QuantumCircuit
+from repro.circuit import QuantumCircuit, circuit_unitary
+from repro.circuit.unitary import statevector
 from repro.dd import (
     ArrayDDPackage,
     ComplexTable,
-    DDPackage,
     NodeStore,
     edge_to_matrix,
     edge_to_vector,
-    matrix_dd_size,
-    matrix_signature,
-    vector_dd_size,
-    vector_signature,
+    matrix_digest,
+    vector_digest,
 )
 from repro.dd.array_package import EDGE_SHIFT, WEIGHT_MASK, ZERO_EDGE
 from repro.dd.export import matrix_dd_to_dot
@@ -123,21 +123,15 @@ class TestArrayAlgebra:
         expected[0b101] = 1.0
         assert_allclose(dense, expected)
 
-    def test_circuit_matrix_matches_object_engine(self):
+    def test_circuit_matrix_matches_dense(self, pkg):
         circuit = random_circuit(3, 20, seed=1)
-        obj = DDPackage()
-        arr = ArrayDDPackage()
-        expected = edge_to_matrix(circuit_dd(obj, circuit), 3)
-        actual = edge_to_matrix(circuit_dd(arr, circuit), 3, arr)
-        assert_allclose(actual, expected)
+        actual = edge_to_matrix(circuit_dd(pkg, circuit), 3, pkg)
+        assert_allclose(actual, circuit_unitary(circuit))
 
-    def test_simulation_matches_object_engine(self):
+    def test_simulation_matches_dense(self, pkg):
         circuit = random_circuit(3, 20, seed=2)
-        obj = DDPackage()
-        arr = ArrayDDPackage()
-        expected = edge_to_vector(simulate_circuit_dd(obj, circuit), 3)
-        actual = edge_to_vector(simulate_circuit_dd(arr, circuit), 3, arr)
-        assert_allclose(actual, expected)
+        actual = edge_to_vector(simulate_circuit_dd(pkg, circuit), 3, pkg)
+        assert_allclose(actual, statevector(circuit))
 
     def test_unitarity_via_conjugate_transpose(self, pkg):
         circuit = random_circuit(3, 15, seed=3)
@@ -169,9 +163,12 @@ class TestArrayAlgebra:
         small = ArrayDDPackage(complex_table=table, unique_table_slots=2)
         table2 = ComplexTable()
         big = ArrayDDPackage(complex_table=table2, unique_table_slots=1 << 12)
-        dense_small = edge_to_matrix(circuit_dd(small, circuit), 4, small)
-        dense_big = edge_to_matrix(circuit_dd(big, circuit), 4, big)
+        root_small = circuit_dd(small, circuit)
+        root_big = circuit_dd(big, circuit)
+        dense_small = edge_to_matrix(root_small, 4, small)
+        dense_big = edge_to_matrix(root_big, 4, big)
         assert_allclose(dense_small, dense_big, atol=0)
+        assert matrix_digest(root_small, small) == matrix_digest(root_big, big)
         assert small.mat.grows > 0
 
     def test_store_statistics_shape(self, pkg):
@@ -181,16 +178,12 @@ class TestArrayAlgebra:
         assert stats["matrix_store"]["hits"] >= 0
         assert set(stats) == {"matrix_store", "vector_store"}
 
-    def test_dd_sizes_match_object_engine(self):
+    def test_dd_sizes_golden(self, pkg):
+        """Node counts recorded when an object-node engine still ran
+        beside this one; both engines reported these sizes."""
         circuit = random_circuit(4, 25, seed=6)
-        obj = DDPackage()
-        arr = ArrayDDPackage()
-        obj_root = circuit_dd(obj, circuit)
-        arr_root = circuit_dd(arr, circuit)
-        assert matrix_dd_size(arr_root, arr) == matrix_dd_size(obj_root)
-        obj_state = simulate_circuit_dd(obj, circuit)
-        arr_state = simulate_circuit_dd(arr, circuit)
-        assert vector_dd_size(arr_state, arr) == vector_dd_size(obj_state)
+        assert pkg.matrix_dd_size(circuit_dd(pkg, circuit)) == 85
+        assert pkg.vector_dd_size(simulate_circuit_dd(pkg, circuit)) == 15
 
 
 class TestHandleExportRoundTrip:
@@ -201,69 +194,102 @@ class TestHandleExportRoundTrip:
         dense = edge_to_matrix(root, 3, pkg)
         fresh = ArrayDDPackage()
         rebuilt = circuit_dd(fresh, circuit)
-        assert matrix_dd_size(rebuilt, fresh) == matrix_dd_size(root, pkg)
+        assert fresh.matrix_dd_size(rebuilt) == pkg.matrix_dd_size(root)
         assert_allclose(edge_to_matrix(rebuilt, 3, fresh), dense, atol=0)
 
     def test_dot_rendering_from_handles(self, pkg):
         ghz = QuantumCircuit(2).h(0).cx(0, 1)
         root = circuit_dd(pkg, ghz)
-        dot = matrix_dd_to_dot(root, pkg=pkg)
+        dot = matrix_dd_to_dot(root, pkg)
         assert dot.startswith("digraph dd {")
         assert dot.rstrip().endswith("}")
         assert "terminal" in dot
         # One circle node per DD node.
-        assert dot.count("shape=circle") == matrix_dd_size(root, pkg)
+        assert dot.count("shape=circle") == pkg.matrix_dd_size(root)
 
-    def test_dot_rendering_matches_object_engine(self):
-        """Both engines render the same graph for the same circuit."""
+    def test_dot_rendering_golden(self, pkg):
+        """The Bell-circuit rendering, as an object-node engine also
+        produced it for the same circuit."""
         ghz = QuantumCircuit(2).h(0).cx(0, 1)
-        table = ComplexTable()
-        obj = DDPackage(complex_table=table)
-        arr = ArrayDDPackage(complex_table=table)
-        obj_dot = matrix_dd_to_dot(circuit_dd(obj, ghz))
-        arr_dot = matrix_dd_to_dot(circuit_dd(arr, ghz), pkg=arr)
-        assert obj_dot == arr_dot
+        assert matrix_dd_to_dot(circuit_dd(pkg, ghz), pkg) == "\n".join([
+            "digraph dd {",
+            "  rankdir=TB;",
+            "  root [shape=point];",
+            '  terminal [label="1", shape=box];',
+            '  root -> n0 [label="0.7071+0i"];',
+            '  n0 [label="q1", shape=circle];',
+            '  n0 -> n1 [label="00: 1+0i"];',
+            '  n1 [label="q0", shape=circle];',
+            '  n1 -> terminal [label="00: 1+0i"];',
+            '  n1 -> terminal [label="01: 1+0i"];',
+            '  n0 -> n2 [label="01: 1+0i"];',
+            '  n2 [label="q0", shape=circle];',
+            '  n2 -> terminal [label="10: 1+0i"];',
+            '  n2 -> terminal [label="11: -1+0i"];',
+            '  n0 -> n2 [label="10: 1+0i"];',
+            '  n0 -> n1 [label="11: 1+0i"];',
+            "}",
+        ])
 
     def test_dot_zero_edge(self, pkg):
-        dot = matrix_dd_to_dot(ZERO_EDGE, pkg=pkg)
+        dot = matrix_dd_to_dot(ZERO_EDGE, pkg)
         assert "root ->" not in dot
 
-    def test_missing_package_is_an_error(self, pkg):
-        root = circuit_dd(pkg, QuantumCircuit(1).h(0))
-        with pytest.raises(ValueError):
-            edge_to_matrix(root, 1)
-        with pytest.raises(ValueError):
-            matrix_dd_size(root)
-        with pytest.raises(ValueError):
-            matrix_signature(root)
+
+_DIGEST_SCRIPT = """
+from repro.dd import ArrayDDPackage, matrix_digest, vector_digest
+from repro.dd.gates import circuit_dd, simulate_circuit_dd
+from tests.conftest import random_circuit
+
+circuit = random_circuit(3, 20, seed=8)
+pkg = ArrayDDPackage()
+print(matrix_digest(circuit_dd(pkg, circuit), pkg))
+print(vector_digest(simulate_circuit_dd(pkg, circuit), pkg))
+"""
 
 
-class TestSignatures:
-    def test_cross_engine_signatures_equal(self):
+class TestDigests:
+    def _digests(self):
         circuit = random_circuit(3, 20, seed=8)
-        table = ComplexTable()
-        obj = DDPackage(complex_table=table)
-        arr = ArrayDDPackage(complex_table=table)
-        assert matrix_signature(circuit_dd(obj, circuit)) == matrix_signature(
-            circuit_dd(arr, circuit), arr
-        )
-        assert vector_signature(
-            simulate_circuit_dd(obj, circuit)
-        ) == vector_signature(simulate_circuit_dd(arr, circuit), arr)
+        pkg = ArrayDDPackage()
+        return [
+            matrix_digest(circuit_dd(pkg, circuit), pkg),
+            vector_digest(simulate_circuit_dd(pkg, circuit), pkg),
+        ]
 
-    def test_different_circuits_different_signatures(self):
-        table = ComplexTable()
-        obj = DDPackage(complex_table=table)
-        a = matrix_signature(circuit_dd(obj, QuantumCircuit(2).h(0)))
-        b = matrix_signature(circuit_dd(obj, QuantumCircuit(2).h(1)))
+    def test_fresh_packages_equal_digests(self):
+        first, second = self._digests(), self._digests()
+        assert first == second
+        assert all(len(digest) == 64 for digest in first)
+
+    def test_fresh_processes_equal_digests(self):
+        """Digests carry no process state (ids, interning order), so two
+        interpreters agree with each other and with this one."""
+        root = Path(__file__).resolve().parents[2]
+        env = {"PYTHONPATH": f"{root / 'src'}:{root}", "PATH": ""}
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", _DIGEST_SCRIPT], cwd=root, env=env,
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout.split()
+            for _ in range(2)
+        ]
+        assert outputs[0] == outputs[1] == self._digests()
+
+    def test_different_circuits_different_digests(self, pkg):
+        a = matrix_digest(circuit_dd(pkg, QuantumCircuit(2).h(0)), pkg)
+        b = matrix_digest(circuit_dd(pkg, QuantumCircuit(2).h(1)), pkg)
         assert a != b
 
-    def test_signature_comparison_is_cheap_on_deep_chains(self):
-        """Hash-consing keeps equality linear on identity-like chains
-        whose naive tree unfolding is exponential in depth."""
-        table = ComplexTable()
-        obj = DDPackage(complex_table=table)
-        arr = ArrayDDPackage(complex_table=table)
-        assert matrix_signature(obj.identity(64)) == matrix_signature(
-            arr.identity(64), arr
+    def test_weight_changes_digest(self, pkg):
+        a = matrix_digest(circuit_dd(pkg, QuantumCircuit(1).z(0)), pkg)
+        b = matrix_digest(circuit_dd(pkg, QuantumCircuit(1).s(0)), pkg)
+        assert a != b
+
+    def test_digest_is_cheap_on_deep_chains(self):
+        """Memoized per node, so a 64-level identity chain — whose tree
+        unfolding is exponential in depth — hashes in linear time."""
+        first, second = ArrayDDPackage(), ArrayDDPackage()
+        assert matrix_digest(first.identity(64), first) == matrix_digest(
+            second.identity(64), second
         )

@@ -1,5 +1,7 @@
 """Unit tests for the tolerance-aware complex table."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,6 +67,29 @@ class TestLookup:
         a = coarse.lookup(0.500)
         b = coarse.lookup(0.505)
         assert a is b
+
+    def test_ids_survive_bucket_collisions_of_large_values(self):
+        """Around 4e6 adjacent floats are further apart than the
+        tolerance yet can share a bucket key; they evict each other from
+        the bucket, and a returning value must keep its first id.  A
+        re-issued id once shifted every later id off its value, which
+        turned a noisy QFT's system-matrix DD into the zero matrix."""
+        table = ComplexTable(1e-10)
+        first = complex(4008124.3707044655)
+        second = complex(math.nextafter(first.real, math.inf))
+        while table._key(first) != table._key(second):
+            first = second
+            second = complex(math.nextafter(first.real, math.inf))
+        assert abs(first - second) > table.tolerance
+        id_first = table.lookup_id(first)
+        id_second = table.lookup_id(second)
+        assert table.lookup_id(first) == id_first
+        assert table.lookup_id(second) == id_second
+        fresh = table.lookup_id(0.123 + 0.456j)
+        assert table.value_of(id_first) == first
+        assert table.value_of(id_second) == second
+        assert table.value_of(fresh) == 0.123 + 0.456j
+        assert table.num_ids() == len(set(table._values))
 
 
 class TestLookupProperties:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.dd.array_package import ArrayDDPackage
 from repro.dd.compute_table import ComputeTable, DEFAULT_COMPUTE_TABLE_SIZE
-from repro.dd.export import edge_to_matrix, matrix_dd_size
+from repro.dd.export import edge_to_matrix
 from repro.dd.gates import circuit_dd
-from repro.dd.package import DDPackage
 
 from tests.conftest import random_circuit
 
@@ -91,19 +91,19 @@ class TestComputeTable:
 
 class TestPackageTableWiring:
     def test_package_honours_table_size(self):
-        pkg = DDPackage(compute_table_size=64)
+        pkg = ArrayDDPackage(compute_table_size=64)
         assert all(t.size == 64 for t in pkg._tables.values())
-        unbounded = DDPackage(compute_table_size=None)
+        unbounded = ArrayDDPackage(compute_table_size=None)
         assert all(t.size is None for t in unbounded._tables.values())
 
     def test_compute_table_stats_keys(self):
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         stats = pkg.compute_table_stats()
         assert "mul" in stats and "add" in stats and "apply_left" in stats
         assert set(stats["mul"]) == {"hits", "misses", "evictions", "entries"}
 
     def test_clear_compute_tables_clears_all(self):
-        pkg = DDPackage(compute_table_size=64)
+        pkg = ArrayDDPackage(compute_table_size=64)
         circuit = random_circuit(3, 15, seed=2)
         circuit_dd(pkg, circuit)
         assert any(len(t) for t in pkg._tables.values())
@@ -123,7 +123,7 @@ class TestEvictionStress:
         ]
         references = None
         for table_size in (64, 4096, None):
-            pkg = DDPackage(compute_table_size=table_size)
+            pkg = ArrayDDPackage(compute_table_size=table_size)
             # Interleave construction, multiplication and addition so the
             # tiny tables actually evict mid-recursion.
             a = circuit_dd(pkg, circuits[0])
@@ -131,10 +131,10 @@ class TestEvictionStress:
             product = pkg.multiply(a, b)
             total = pkg.add(a, b)
             dense = [
-                edge_to_matrix(edge, 5) for edge in (a, b, product, total)
+                edge_to_matrix(edge, 5, pkg) for edge in (a, b, product, total)
             ]
             for edge in (a, b, product, total):
-                assert matrix_dd_size(edge) > 1
+                assert pkg.matrix_dd_size(edge) > 1
             if references is None:
                 references = dense
                 if table_size == 64:
@@ -172,10 +172,10 @@ class TestEvictionStress:
 
     def test_same_package_canonicity_under_eviction(self):
         """Recomputing after eviction returns the *same* canonical node."""
-        pkg = DDPackage(compute_table_size=64)
+        pkg = ArrayDDPackage(compute_table_size=64)
         circuit = random_circuit(4, 30, seed=7)
         first = circuit_dd(pkg, circuit)
         pkg.clear_compute_tables()  # worst case: every memo gone
         second = circuit_dd(pkg, circuit)
-        assert first.node is second.node
-        assert first.weight == second.weight
+        assert pkg.edge_node(first) == pkg.edge_node(second)
+        assert pkg.edge_weight(first) == pkg.edge_weight(second)

@@ -6,7 +6,7 @@ import pytest
 from repro.circuit import QuantumCircuit, circuit_unitary
 from repro.circuit.gate import Operation
 from repro.circuit.unitary import operation_unitary, permutation_matrix
-from repro.dd import DDPackage, edge_to_matrix
+from repro.dd import ArrayDDPackage, edge_to_matrix
 from repro.dd.gates import (
     apply_operation_left,
     apply_operation_right,
@@ -20,7 +20,7 @@ from tests.conftest import random_circuit
 
 @pytest.fixture
 def pkg():
-    return DDPackage()
+    return ArrayDDPackage()
 
 
 OPERATIONS = [
@@ -47,13 +47,13 @@ class TestOperationDD:
     def test_matches_dense(self, op, pkg):
         edge = operation_dd(pkg, op, 3)
         np.testing.assert_allclose(
-            edge_to_matrix(edge, 3), operation_unitary(op, 3), atol=1e-10
+            edge_to_matrix(edge, 3, pkg), operation_unitary(op, 3), atol=1e-10
         )
 
     def test_many_controls(self, pkg):
         op = Operation("x", (0,), (1, 2, 3, 4))
         np.testing.assert_allclose(
-            edge_to_matrix(operation_dd(pkg, op, 5), 5),
+            edge_to_matrix(operation_dd(pkg, op, 5), 5, pkg),
             operation_unitary(op, 5),
             atol=1e-10,
         )
@@ -61,16 +61,12 @@ class TestOperationDD:
     def test_left_right_application(self, pkg):
         h = Operation("h", (0,))
         x = Operation("x", (0,))
-        left = apply_operation_left(
-            pkg, operation_dd(pkg, x, 1), h, 1
-        )  # H @ X
-        right = apply_operation_right(
-            pkg, operation_dd(pkg, x, 1), h, 1
-        )  # X @ H
+        left = apply_operation_left(pkg, operation_dd(pkg, x, 1), h)  # H @ X
+        right = apply_operation_right(pkg, operation_dd(pkg, x, 1), h)  # X @ H
         hx = operation_unitary(h, 1) @ operation_unitary(x, 1)
         xh = operation_unitary(x, 1) @ operation_unitary(h, 1)
-        np.testing.assert_allclose(edge_to_matrix(left, 1), hx, atol=1e-12)
-        np.testing.assert_allclose(edge_to_matrix(right, 1), xh, atol=1e-12)
+        np.testing.assert_allclose(edge_to_matrix(left, 1, pkg), hx, atol=1e-12)
+        np.testing.assert_allclose(edge_to_matrix(right, 1, pkg), xh, atol=1e-12)
 
 
 class TestCircuitDD:
@@ -78,17 +74,15 @@ class TestCircuitDD:
     def test_matches_dense(self, seed, pkg):
         circuit = random_circuit(4, 25, seed=seed)
         np.testing.assert_allclose(
-            edge_to_matrix(circuit_dd(pkg, circuit), 4),
+            edge_to_matrix(circuit_dd(pkg, circuit), 4, pkg),
             circuit_unitary(circuit),
             atol=1e-8,
         )
 
     def test_ghz_dd_is_compact(self, pkg):
         """Paper Fig. 3a: the GHZ unitary has a compact DD."""
-        from repro.dd import matrix_dd_size
-
         ghz = QuantumCircuit(3).h(0).cx(0, 1).cx(0, 2)
-        size = matrix_dd_size(circuit_dd(pkg, ghz))
+        size = pkg.matrix_dd_size(circuit_dd(pkg, ghz))
         assert size < 8  # far below the 4^3 dense entries
 
 
@@ -116,5 +110,5 @@ class TestPermutations:
     def test_permutation_dd_matches_dense(self, perm, pkg):
         edge = permutation_dd(pkg, perm, 3)
         np.testing.assert_allclose(
-            edge_to_matrix(edge, 3), permutation_matrix(perm, 3), atol=1e-12
+            edge_to_matrix(edge, 3, pkg), permutation_matrix(perm, 3), atol=1e-12
         )

@@ -1,4 +1,4 @@
-"""Unit tests for the DD package algebra (`repro.dd.package`)."""
+"""Unit tests for the DD package algebra (`repro.dd.array_package`)."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 from repro.circuit import QuantumCircuit, circuit_unitary
 from repro.circuit.unitary import statevector
 from repro.dd import (
-    DDPackage,
+    ArrayDDPackage,
     edge_to_matrix,
     edge_to_vector,
-    matrix_dd_size,
-    vector_dd_size,
 )
 from repro.dd.gates import circuit_dd, operation_dd, simulate_circuit_dd
 from tests.conftest import random_circuit
@@ -19,43 +17,43 @@ from tests.conftest import random_circuit
 
 @pytest.fixture
 def pkg():
-    return DDPackage()
+    return ArrayDDPackage()
 
 
 class TestElementaryDiagrams:
     def test_basis_state_vector(self, pkg):
         for bits in range(8):
-            vec = edge_to_vector(pkg.basis_state(3, bits), 3)
+            vec = edge_to_vector(pkg.basis_state(3, bits), 3, pkg)
             expected = np.zeros(8)
             expected[bits] = 1.0
             np.testing.assert_allclose(vec, expected, atol=1e-12)
 
     def test_identity_matrix(self, pkg):
         np.testing.assert_allclose(
-            edge_to_matrix(pkg.identity(3), 3), np.eye(8), atol=1e-12
+            edge_to_matrix(pkg.identity(3), 3, pkg), np.eye(8), atol=1e-12
         )
 
     def test_identity_is_linear_size(self, pkg):
         """Paper Fig. 3b: the identity DD has n nodes."""
         for n in (1, 4, 16, 65):
-            assert matrix_dd_size(pkg.identity(n)) == n
+            assert pkg.matrix_dd_size(pkg.identity(n)) == n
 
     def test_identity_cached(self, pkg):
-        assert pkg.identity(5).node is pkg.identity(5).node
+        assert pkg.edge_node(pkg.identity(5)) == pkg.edge_node(pkg.identity(5))
 
     def test_zero_edges(self, pkg):
-        assert pkg.zero_matrix_edge().is_zero
-        assert pkg.zero_vector_edge().is_zero
+        assert pkg.edge_weight(pkg.zero_matrix_edge()) == 0
+        assert pkg.edge_weight(pkg.zero_vector_edge()) == 0
 
     def test_layered_kron(self, pkg):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         edge = pkg.layered_kron(2, {0: x})
         np.testing.assert_allclose(
-            edge_to_matrix(edge, 2), np.kron(np.eye(2), x), atol=1e-12
+            edge_to_matrix(edge, 2, pkg), np.kron(np.eye(2), x), atol=1e-12
         )
         edge = pkg.layered_kron(2, {1: x})
         np.testing.assert_allclose(
-            edge_to_matrix(edge, 2), np.kron(x, np.eye(2)), atol=1e-12
+            edge_to_matrix(edge, 2, pkg), np.kron(x, np.eye(2)), atol=1e-12
         )
 
 
@@ -64,29 +62,31 @@ class TestCanonicity:
         """Canonicity: equal circuits yield the identical root node."""
         a = QuantumCircuit(2).h(0).cx(0, 1)
         b = QuantumCircuit(2).h(0).cx(0, 1)
-        assert circuit_dd(pkg, a).node is circuit_dd(pkg, b).node
+        assert pkg.edge_node(circuit_dd(pkg, a)) == pkg.edge_node(
+            circuit_dd(pkg, b)
+        )
 
     def test_hadamard_squared_is_identity_node(self, pkg):
         hh = QuantumCircuit(2).h(0).h(0)
         edge = circuit_dd(pkg, hh)
-        assert edge.node is pkg.identity(2).node
+        assert pkg.edge_node(edge) == pkg.edge_node(pkg.identity(2))
 
     def test_commuting_constructions_agree(self, pkg):
         a = QuantumCircuit(2).z(0).x(1)
         b = QuantumCircuit(2).x(1).z(0)
         ea, eb = circuit_dd(pkg, a), circuit_dd(pkg, b)
-        assert ea.node is eb.node
-        assert ea.weight == eb.weight
+        assert pkg.edge_node(ea) == pkg.edge_node(eb)
+        assert pkg.edge_weight(ea) == pkg.edge_weight(eb)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_canonicity_property(self, seed):
         """G and (G†)† build the very same canonical DD."""
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         circuit = random_circuit(3, 12, seed=seed)
         direct = circuit_dd(pkg, circuit)
         double_inverse = circuit_dd(pkg, circuit.inverse().inverse())
-        assert direct.node is double_inverse.node
+        assert pkg.edge_node(direct) == pkg.edge_node(double_inverse)
 
 
 class TestAlgebra:
@@ -96,7 +96,7 @@ class TestAlgebra:
         b = random_circuit(3, 10, seed=seed + 100)
         product = pkg.multiply(circuit_dd(pkg, a), circuit_dd(pkg, b))
         np.testing.assert_allclose(
-            edge_to_matrix(product, 3),
+            edge_to_matrix(product, 3, pkg),
             circuit_unitary(a) @ circuit_unitary(b),
             atol=1e-8,
         )
@@ -106,7 +106,7 @@ class TestAlgebra:
         b = random_circuit(2, 8, seed=2)
         total = pkg.add(circuit_dd(pkg, a), circuit_dd(pkg, b))
         np.testing.assert_allclose(
-            edge_to_matrix(total, 2),
+            edge_to_matrix(total, 2, pkg),
             circuit_unitary(a) + circuit_unitary(b),
             atol=1e-8,
         )
@@ -120,7 +120,7 @@ class TestAlgebra:
         circuit = random_circuit(3, 12, seed=5)
         adjoint = pkg.conjugate_transpose(circuit_dd(pkg, circuit))
         np.testing.assert_allclose(
-            edge_to_matrix(adjoint, 3),
+            edge_to_matrix(adjoint, 3, pkg),
             circuit_unitary(circuit).conj().T,
             atol=1e-8,
         )
@@ -151,7 +151,7 @@ class TestVectors:
         circuit = random_circuit(3, 15, seed=seed)
         state = simulate_circuit_dd(pkg, circuit)
         np.testing.assert_allclose(
-            edge_to_vector(state, 3), statevector(circuit), atol=1e-8
+            edge_to_vector(state, 3, pkg), statevector(circuit), atol=1e-8
         )
 
     def test_inner_product_matches_dense(self, pkg):
@@ -171,8 +171,8 @@ class TestVectors:
         b = simulate_circuit_dd(pkg, random_circuit(2, 6, seed=15))
         total = pkg.add_vectors(a, b)
         np.testing.assert_allclose(
-            edge_to_vector(total, 2),
-            edge_to_vector(a, 2) + edge_to_vector(b, 2),
+            edge_to_vector(total, 2, pkg),
+            edge_to_vector(a, 2, pkg) + edge_to_vector(b, 2, pkg),
             atol=1e-8,
         )
 
@@ -180,7 +180,7 @@ class TestVectors:
         ghz = QuantumCircuit(3).h(0).cx(0, 1).cx(0, 2)
         state = simulate_circuit_dd(pkg, ghz)
         # one shared node at the top level, two per level below
-        assert vector_dd_size(state) == 5
+        assert pkg.vector_dd_size(state) == 5
 
 
 class TestIdentityPredicates:
@@ -205,4 +205,7 @@ class TestGateCache:
         op = Operation("x", (1,), (0,))
         first = operation_dd(pkg, op, 3)
         second = operation_dd(pkg, op, 3)
-        assert first is second
+        assert first == second
+        assert pkg._gate_dd_cache[
+            (op.name, op.targets, op.controls, op.params, 3)
+        ] == first

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuit import QuantumCircuit, circuit_unitary
 from repro.circuit.gate import Operation
-from repro.dd import DDPackage, edge_to_matrix
+from repro.dd import ArrayDDPackage, edge_to_matrix
 from repro.dd.gates import circuit_dd
 from repro.ec import (
     Configuration,
@@ -38,8 +38,8 @@ class TestEngineAgreement:
         """Three ways to compute the same unitary must agree."""
         circuit = random_circuit(3, 12, seed=seed)
         dense = circuit_unitary(circuit)
-        pkg = DDPackage()
-        dd_matrix = edge_to_matrix(circuit_dd(pkg, circuit), 3)
+        pkg = ArrayDDPackage()
+        dd_matrix = edge_to_matrix(circuit_dd(pkg, circuit), 3, pkg)
         np.testing.assert_allclose(dd_matrix, dense, atol=1e-8)
         zx_matrix = diagram_to_matrix(circuit_to_zx(circuit))
         assert diagrams_proportional(zx_matrix, dense)

@@ -133,7 +133,7 @@ class TestManhattanScale:
         assert zx.equivalence in POSITIVE
 
     def test_identity_dd_is_tiny_at_65_qubits(self):
-        from repro.dd import DDPackage, matrix_dd_size
+        from repro.dd import ArrayDDPackage
 
-        pkg = DDPackage()
-        assert matrix_dd_size(pkg.identity(65)) == 65
+        pkg = ArrayDDPackage()
+        assert pkg.matrix_dd_size(pkg.identity(65)) == 65

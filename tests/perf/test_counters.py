@@ -9,9 +9,10 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.algorithms import ghz_state
-from repro.dd import DDPackage
+from repro.dd import ArrayDDPackage
 from repro.dd.gates import circuit_dd, simulate_circuit_dd
 from repro.ec import Configuration, EquivalenceCheckingManager
+from repro.ec.results import Equivalence
 from repro.perf import PerfCounters, package_statistics
 from tests.conftest import random_circuit
 
@@ -54,7 +55,7 @@ class TestPerfCounters:
 
 class TestPackageStatistics:
     def test_snapshot_keys(self):
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         circuit_dd(pkg, random_circuit(4, 20, seed=0))
         simulate_circuit_dd(pkg, random_circuit(4, 10, seed=1))
         stats = package_statistics(pkg)
@@ -65,6 +66,7 @@ class TestPackageStatistics:
             "unique_vector_nodes",
             "matrix_nodes_created",
             "vector_nodes_created",
+            "node_stores",
         }
         assert stats["matrix_nodes_created"] > 0
         assert stats["vector_nodes_created"] > 0
@@ -74,9 +76,10 @@ class TestPackageStatistics:
         tables = stats["compute_tables"]
         assert tables["apply_left"]["misses"] > 0
         assert tables["apply_vec"]["misses"] > 0
+        assert set(stats["node_stores"]) == {"matrix_store", "vector_store"}
 
     def test_nodes_created_counts_unique_table_misses_only(self):
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         circuit = random_circuit(3, 10, seed=5)
         circuit_dd(pkg, circuit)
         created = pkg.matrix_nodes_created
@@ -113,21 +116,14 @@ class TestCheckerStatistics:
         counters = result.statistics["perf"]["counters"]
         assert counters["gate_applications"] == 2 * len(circuit)
 
-    def test_legacy_and_direct_checkers_agree(self):
+    def test_alternating_max_dd_size_golden(self):
+        """GHZ-5 against itself: verdict and peak size as both gate-
+        application paths reported them when both existed."""
         circuit = ghz_state(5)
-        results = {}
-        for direct in (True, False):
-            config = Configuration(
-                strategy="alternating", seed=0, direct_application=direct
-            )
-            results[direct] = EquivalenceCheckingManager(
-                circuit, circuit, config
-            ).run()
-        assert results[True].equivalence == results[False].equivalence
-        assert (
-            results[True].statistics["max_dd_size"]
-            == results[False].statistics["max_dd_size"]
-        )
+        config = Configuration(strategy="alternating", seed=0)
+        result = EquivalenceCheckingManager(circuit, circuit, config).run()
+        assert result.equivalence is Equivalence.EQUIVALENT
+        assert result.statistics["max_dd_size"] == 5
 
 
 class TestCliSurfacing:
@@ -152,15 +148,6 @@ class TestCliSurfacing:
         assert "phase_seconds:" in out
         assert "complex_table:" in out
         assert "apply_left:" in out
-
-    def test_legacy_kernels_flag(self, qasm_file):
-        from repro.cli import main
-
-        code = main([
-            "verify", str(qasm_file), str(qasm_file),
-            "--strategy", "alternating", "--legacy-kernels",
-        ])
-        assert code == 0
 
     def test_compute_table_size_flag(self, qasm_file):
         from repro.cli import main

@@ -247,54 +247,6 @@ class TestNoForkRule:
         assert findings == []
 
 
-class TestNoObjectDDRule:
-    def test_object_allocation_in_array_module_is_flagged(self, tmp_path):
-        findings = _run_on(
-            tmp_path,
-            "dd/array_demo.py",
-            "from repro.dd.node import MNode\n"
-            "node = MNode(0, ())\n",
-        )
-        assert [f.rule for f in findings] == ["no-object-dd"]
-
-    def test_dotted_edge_constructor_is_flagged(self, tmp_path):
-        findings = _run_on(
-            tmp_path,
-            "dd/array_demo.py",
-            "from repro.dd import node\n"
-            "edge = node.VEdge(None, 0j)\n",
-        )
-        assert [f.rule for f in findings] == ["no-object-dd"]
-
-    def test_rule_only_applies_to_array_modules(self, tmp_path):
-        findings = _run_on(
-            tmp_path,
-            "dd/package_demo.py",
-            "from repro.dd.node import MNode\n"
-            "node = MNode(0, ())\n",
-        )
-        assert findings == []
-
-    def test_handle_arithmetic_is_clean(self, tmp_path):
-        findings = _run_on(
-            tmp_path,
-            "dd/array_demo.py",
-            "def pack(handle, wid):\n"
-            "    return (handle << 32) | wid\n",
-        )
-        assert findings == []
-
-    def test_suppression_with_reason(self, tmp_path):
-        findings = _run_on(
-            tmp_path,
-            "dd/array_demo.py",
-            "from repro.dd.node import VEdge\n"
-            "# repro: allow(no-object-dd): legacy-interop shim\n"
-            "edge = VEdge(None, 1 + 0j)\n",
-        )
-        assert findings == []
-
-
 class TestCli:
     def test_main_exit_codes(self, tmp_path, capsys):
         counters = tmp_path / "src" / "repro" / "perf" / "counters.py"
