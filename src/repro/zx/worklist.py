@@ -26,12 +26,20 @@ with a dirty-vertex worklist (PyZX-style match-then-rewrite):
   down to the few phases they can fire on; interior-ness (a neighbor
   property) is validated at match time.
 
-* Each round a rule batch-collects **non-overlapping** matches: a match
-  claims the vertices it will read or write (anchor + neighborhood), and
-  later matches intersecting an earlier claim are deferred to the next
-  round via :meth:`DirtyTracker.retry`.  Collected matches are re-validated
-  immediately before application, because a spider-fusion cascade inside
-  ``id_step`` may reach beyond its claim.
+* A rule applies each match **as soon as** its predicates pass on the
+  live diagram, then keeps scanning its drained candidates.  There is no
+  claim set and no second validation pass: a match is only ever judged
+  against the diagram it is applied to, so an earlier rewrite in the same
+  round (including a spider-fusion cascade inside ``id_step``) cannot
+  invalidate it — at worst it makes a later candidate fail its check, and
+  the vertices that rewrite touched are re-queued for every rule anyway.
+  The deadline is checked before every applied rewrite, since a single
+  round can run thousands of them.
+
+* Notifications are coalesced: ``touch``/``touch_edges`` add to one
+  shared *fresh* set, which ``pending``/``drain`` flush into all six rule
+  sets with one ``set.update`` each — instead of six set insertions per
+  notification on the hottest path of the engine.
 
 Rewrite *steps* and match *predicates* are shared with the legacy module —
 both engines apply bit-identical rewrites; only the scheduling differs.
@@ -75,7 +83,9 @@ class DirtyTracker:
     Invariants while attached (checked by ``tests/zx/test_incremental.py``):
 
     * every live vertex whose neighborhood changed since rule ``r`` last
-      drained is in ``_dirty[r]`` (removal instead touches the neighbors);
+      drained is in ``_fresh`` or ``_dirty[r]`` (removal instead touches
+      the neighbors); ``pending``/``drain`` flush ``_fresh`` first, so
+      they always see the union;
     * ``v in pauli_spiders`` iff ``v`` is a live Z spider with phase
       0 or pi, and ``v in clifford_spiders`` iff its phase is ±pi/2
       (interior-ness is *not* part of the invariant — it is a neighbor
@@ -85,13 +95,15 @@ class DirtyTracker:
     """
 
     __slots__ = (
-        "diagram", "_dirty", "pauli_spiders", "clifford_spiders",
+        "diagram", "_fresh", "_dirty", "pauli_spiders", "clifford_spiders",
         "gadget_supports", "_axis_key",
     )
 
     def __init__(self, diagram: ZXDiagram) -> None:
         self.diagram = diagram
         seed = tuple(diagram._types)
+        #: touched since the last flush, not yet in any rule's dirty set
+        self._fresh: Set[int] = set()
         self._dirty: Dict[str, Set[int]] = {
             rule: set(seed) for rule in RULES
         }
@@ -106,18 +118,17 @@ class DirtyTracker:
     # -- notifications from the diagram ---------------------------------
     def touch(self, vertex: int) -> None:
         """The vertex's phase or type changed (re-examines + re-indexes)."""
-        for dirty in self._dirty.values():
-            dirty.add(vertex)
+        self._fresh.add(vertex)
         self._reindex(vertex)
 
     def touch_edges(self, vertex: int) -> None:
         """An incident edge changed — phase and type are intact, so the
         vertex only needs re-examination, not re-indexing."""
-        for dirty in self._dirty.values():
-            dirty.add(vertex)
+        self._fresh.add(vertex)
 
     def forget(self, vertex: int) -> None:
         """The vertex was removed."""
+        self._fresh.discard(vertex)
         for dirty in self._dirty.values():
             dirty.discard(vertex)
         self.pauli_spiders.discard(vertex)
@@ -129,11 +140,15 @@ class DirtyTracker:
                 del self.gadget_supports[key]
 
     # -- worklist access -------------------------------------------------
-    def retry(self, rule: str, vertex: int) -> None:
-        """Re-queue a deferred or invalidated match anchor for ``rule``."""
-        self._dirty[rule].add(vertex)
+    def _flush(self) -> None:
+        fresh = self._fresh
+        if fresh:
+            for dirty in self._dirty.values():
+                dirty.update(fresh)
+            fresh.clear()
 
     def pending(self, rule: str) -> bool:
+        self._flush()
         return bool(self._dirty[rule])
 
     def drain(self, rule: str) -> List[int]:
@@ -143,6 +158,7 @@ class DirtyTracker:
         the complete set of vertices at which a match may have appeared or
         disappeared (sorted for deterministic rewrite order).
         """
+        self._flush()
         dirty = self._dirty[rule]
         if not dirty:
             return []
@@ -187,192 +203,124 @@ def _count(counters, name: str, amount: int) -> None:
 # ---------------------------------------------------------------------------
 # per-rule incremental drivers
 # ---------------------------------------------------------------------------
-def _id_round(diagram: ZXDiagram, tracker: DirtyTracker, counters) -> int:
-    candidates = tracker.drain("id")
-    if not candidates:
-        return 0
+def _id_round(
+    diagram: ZXDiagram, tracker: DirtyTracker, candidates, deadline, counters
+) -> int:
     alive = diagram._types
-    adjacency = diagram._adjacency
-    matches: List[int] = []
-    claimed: Set[int] = set()
-    for vertex in candidates:
-        if vertex not in alive or not _id_applicable(diagram, vertex):
-            continue
-        n1, n2 = adjacency[vertex]
-        if vertex in claimed or n1 in claimed or n2 in claimed:
-            tracker.retry("id", vertex)
-            continue
-        claimed.add(vertex)
-        claimed.add(n1)
-        claimed.add(n2)
-        matches.append(vertex)
-    _count(counters, "zx.id.matches", len(matches))
     applied = 0
-    for vertex in matches:
-        # Re-validate: an earlier id_step's fusion cascade can reach
-        # beyond its claim.
+    for vertex in candidates:
         if vertex in alive and _id_applicable(diagram, vertex):
+            _check_deadline(deadline)
             id_step(diagram, vertex)
             applied += 1
-        else:
-            tracker.retry("id", vertex)
+    _count(counters, "zx.id.matches", applied)
     _count(counters, "zx.id.rewrites", applied)
     return applied
 
 
-def _lcomp_round(diagram: ZXDiagram, tracker: DirtyTracker, counters) -> int:
-    candidates = tracker.drain("lcomp")
-    if not candidates:
-        return 0
+def _lcomp_round(
+    diagram: ZXDiagram, tracker: DirtyTracker, candidates, deadline, counters
+) -> int:
     index = tracker.clifford_spiders
-    alive = diagram._types
-    adjacency = diagram._adjacency
-    matches: List[int] = []
-    claimed: Set[int] = set()
-    for vertex in candidates:
-        if vertex not in index or not _lcomp_applicable(diagram, vertex):
-            continue
-        neighborhood = adjacency[vertex].keys()
-        if vertex in claimed or not claimed.isdisjoint(neighborhood):
-            tracker.retry("lcomp", vertex)
-            continue
-        claimed.add(vertex)
-        claimed.update(neighborhood)
-        matches.append(vertex)
-    _count(counters, "zx.lcomp.matches", len(matches))
     applied = 0
-    for vertex in matches:
-        if vertex in alive and _lcomp_applicable(diagram, vertex):
+    for vertex in candidates:
+        if vertex in index and _lcomp_applicable(diagram, vertex):
+            _check_deadline(deadline)
             lcomp_step(diagram, vertex)
             applied += 1
-        else:
-            tracker.retry("lcomp", vertex)
+    _count(counters, "zx.lcomp.matches", applied)
     _count(counters, "zx.lcomp.rewrites", applied)
     return applied
 
 
 def _edge_round(
     diagram: ZXDiagram,
-    tracker: DirtyTracker,
     rule: str,
     anchors: Iterable[int],
     anchor_ok,
     partner_ok,
     step,
+    deadline,
     counters,
-    oriented: bool,
 ) -> int:
-    """One batch round of an edge-anchored pivot-family rule.
+    """One round of an edge-anchored pivot-family rule.
 
-    ``anchors`` are candidate first-endpoints.  The match predicate is
-    split: ``anchor_ok(diagram, a)`` covers everything depending on the
-    anchor alone and runs **once per anchor** (the diagram is static
-    during collection), ``partner_ok(diagram, b)`` covers the other
-    endpoint and runs per Hadamard edge — without the split, an anchor of
-    degree *d* would re-scan its own neighborhood *d* times.  ``oriented``
-    rules (gadget/boundary pivots) distinguish the two endpoints, plain
-    pivots do not (each undirected edge is tested once).
+    ``anchors`` are candidate first-endpoints; each Hadamard edge
+    ``(a, b)`` whose predicates pass is rewritten on the spot.  Every
+    pivot-family step deletes its anchor, so the scan moves on to the next
+    anchor after a rewrite; a later anchor the rewrite removed or changed
+    is judged on the live diagram when its turn comes.  The match
+    predicate is split: ``anchor_ok(diagram, a)`` covers everything
+    depending on the anchor alone and runs **once per anchor**,
+    ``partner_ok(diagram, b)`` covers the other endpoint and runs per
+    Hadamard edge — without the split, an anchor of degree *d* would
+    re-scan its own neighborhood *d* times.  Partner results are memoized
+    until the next applied rewrite (which can change any of them), so a
+    partner of in-degree *k* is not re-scanned *k* times in between.
     """
     alive = diagram._types
     adjacency = diagram._adjacency
-    matches: List[Tuple[int, int]] = []
-    claimed: Set[int] = set()
-    seen: Set[Tuple[int, int]] = set()
-    # The diagram is static during collection, so both predicates are
-    # memoized for the duration of the round — without this, a partner of
-    # in-degree k is re-scanned k times.
+    applied = 0
     partner_cache: Dict[int, bool] = {}
     for a in anchors:
         if a not in alive or not anchor_ok(diagram, a):
             continue
-        for b in sorted(adjacency[a]):
-            edge = (a, b) if (oriented or a < b) else (b, a)
-            if edge in seen:
-                continue
-            seen.add(edge)
-            if adjacency[a][b] is not EdgeType.HADAMARD:
+        neighbors = adjacency[a]
+        for b in sorted(neighbors):
+            if neighbors[b] is not EdgeType.HADAMARD:
                 continue
             ok = partner_cache.get(b)
             if ok is None:
                 ok = partner_cache[b] = partner_ok(diagram, b)
-            if not ok:
-                continue
-            claim = {a, b}
-            claim.update(adjacency[a])
-            claim.update(adjacency[b])
-            if not claimed.isdisjoint(claim):
-                tracker.retry(rule, a)
-                continue
-            claimed.update(claim)
-            matches.append((a, b))
-    _count(counters, f"zx.{rule}.matches", len(matches))
-    applied = 0
-    for a, b in matches:
-        if (
-            a in alive
-            and b in alive
-            and b in adjacency[a]
-            and adjacency[a][b] is EdgeType.HADAMARD
-            and anchor_ok(diagram, a)
-            and partner_ok(diagram, b)
-        ):
-            step(diagram, a, b)
-            applied += 1
-        else:
-            if a in alive:
-                tracker.retry(rule, a)
+            if ok:
+                _check_deadline(deadline)
+                step(diagram, a, b)
+                applied += 1
+                partner_cache.clear()
+                break
+    _count(counters, f"zx.{rule}.matches", applied)
     _count(counters, f"zx.{rule}.rewrites", applied)
     return applied
 
 
-def _pivot_round(diagram: ZXDiagram, tracker: DirtyTracker, counters) -> int:
-    candidates = tracker.drain("pivot")
-    if not candidates:
-        return 0
+def _pivot_round(
+    diagram: ZXDiagram, tracker: DirtyTracker, candidates, deadline, counters
+) -> int:
     anchors = [v for v in candidates if v in tracker.pauli_spiders]
     return _edge_round(
-        diagram, tracker, "pivot", anchors,
+        diagram, "pivot", anchors,
         _pivot_endpoint_applicable, _pivot_endpoint_applicable, pivot_step,
-        counters, oriented=False,
+        deadline, counters,
     )
 
 
 def _pivot_gadget_round(
-    diagram: ZXDiagram, tracker: DirtyTracker, counters
+    diagram: ZXDiagram, tracker: DirtyTracker, candidates, deadline, counters
 ) -> int:
-    candidates = tracker.drain("pivot_gadget")
-    if not candidates:
-        return 0
     # The Pauli anchor is drained directly, or is a neighbor of the dirty
     # non-Pauli partner — drain() already added those neighbors.
     anchors = [v for v in candidates if v in tracker.pauli_spiders]
     return _edge_round(
-        diagram, tracker, "pivot_gadget", anchors,
+        diagram, "pivot_gadget", anchors,
         _pivot_gadget_anchor_applicable, _pivot_gadget_partner_applicable,
-        pivot_gadget_step, counters, oriented=True,
+        pivot_gadget_step, deadline, counters,
     )
 
 
 def _pivot_boundary_round(
-    diagram: ZXDiagram, tracker: DirtyTracker, counters
+    diagram: ZXDiagram, tracker: DirtyTracker, candidates, deadline, counters
 ) -> int:
-    candidates = tracker.drain("pivot_boundary")
-    if not candidates:
-        return 0
     anchors = [v for v in candidates if v in tracker.pauli_spiders]
     return _edge_round(
-        diagram, tracker, "pivot_boundary", anchors,
+        diagram, "pivot_boundary", anchors,
         _pivot_endpoint_applicable, _pivot_boundary_partner_applicable,
-        pivot_boundary_step, counters, oriented=True,
+        pivot_boundary_step, deadline, counters,
     )
 
 
 def _gadget_round(
-    diagram: ZXDiagram, tracker: DirtyTracker, counters
+    diagram: ZXDiagram, tracker: DirtyTracker, candidates, deadline, counters
 ) -> int:
-    candidates = tracker.drain("gadget")
-    if not candidates:
-        return 0
     supports = tracker.gadget_supports
     axis_key = tracker._axis_key
     # Invalidate cache entries whose axis neighborhood may have changed.
@@ -383,7 +331,6 @@ def _gadget_round(
             if entry is not None and entry[0] == vertex:
                 del supports[key]
     alive = diagram._types
-    matched = 0
     applied = 0
     for leaf in candidates:
         if leaf not in alive:
@@ -409,13 +356,13 @@ def _gadget_round(
                 axis_key.pop(other_axis, None)
                 existing = None
         if existing is not None and existing[0] != axis:
-            matched += 1
+            _check_deadline(deadline)
             gadget_fuse_step(diagram, existing[1], axis, leaf)
             applied += 1
         else:
             supports[support] = (axis, leaf)
             axis_key[axis] = support
-    _count(counters, "zx.gadget.matches", matched)
+    _count(counters, "zx.gadget.matches", applied)
     _count(counters, "zx.gadget.rewrites", applied)
     return applied
 
@@ -438,7 +385,9 @@ def _run_rule(
     applied = 0
     while tracker.pending(rule):
         _check_deadline(deadline)
-        applied += round_fn(diagram, tracker, counters)
+        candidates = tracker.drain(rule)
+        _count(counters, f"zx.{rule}.candidates", len(candidates))
+        applied += round_fn(diagram, tracker, candidates, deadline, counters)
     return applied
 
 

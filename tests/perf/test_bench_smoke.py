@@ -159,6 +159,43 @@ def test_zx_simplify_smoke():
 
 
 @pytest.mark.bench_smoke
+def test_zx_pivot_gadget_smoke():
+    """The Table-1 ``plus13mod64`` optimized pair leans on pivot-gadget
+    (hundreds of rewrites): both ZX engines reduce its miter to bare
+    wires with equal edge counts, and the incremental one stays fast."""
+    from repro.bench import reversible
+    from repro.compile.decompose import decompose_to_basis
+    from repro.compile.optimize import optimize_circuit
+    from repro.perf import PerfCounters
+    from repro.zx import circuit_to_zx, full_reduce
+
+    original = reversible.synthesize(reversible.plus_constant_mod(6, 13))
+    optimized = optimize_circuit(decompose_to_basis(original), level=2)
+    miter = circuit_to_zx(original).adjoint().compose(circuit_to_zx(optimized))
+
+    diagrams = {}
+    elapsed = {}
+    counters = PerfCounters()
+    for label, incremental in (("incremental", True), ("legacy", False)):
+        diagram = miter.copy()
+        start = time.perf_counter()
+        full_reduce(
+            diagram,
+            incremental=incremental,
+            counters=counters if incremental else None,
+        )
+        elapsed[label] = time.perf_counter() - start
+        diagrams[label] = diagram
+
+    assert counters.counters["zx.pivot_gadget.rewrites"] > 100
+    assert diagrams["incremental"].num_spiders == 0
+    assert diagrams["legacy"].num_spiders == 0
+    assert diagrams["incremental"].num_edges == diagrams["legacy"].num_edges
+    # Generous bound: this miter takes ~0.3 s; 10 s means something broke.
+    assert elapsed["incremental"] < 10.0
+
+
+@pytest.mark.bench_smoke
 def test_isolation_overhead_smoke():
     """Sandboxed execution agrees with in-process and its overhead stays
     bounded: a fork + pipe round-trip costs tens of milliseconds, not

@@ -6,16 +6,23 @@ rescan drivers — these tests pin down the contract that only the
 (equivalent pairs, one-gate-missing pairs, flipped-CNOT pairs) both
 engines must reach final diagrams with equal spider and edge counts
 that are tensor-proportional, and the :class:`DirtyTracker` candidate
-indexes must always mirror the live diagram.
+indexes must always mirror the live diagram.  The scheduling itself is
+pinned too: a round applies every match that holds on the live diagram
+(no claim-based deferral), every rule sees every notification, and a
+deadline interrupts a round between rewrites.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench import reversible
 from repro.bench.errors import flip_random_cnot, remove_random_gate
 from repro.circuit import QuantumCircuit
+from repro.compile.decompose import decompose_to_basis
+from repro.compile.optimize import optimize_circuit
 from repro.zx import (
     circuit_to_zx,
     diagram_to_matrix,
@@ -23,8 +30,14 @@ from repro.zx import (
     full_reduce,
     to_graph_like,
 )
-from repro.zx.diagram import EdgeType, VertexType
-from repro.zx.worklist import RULES, DirtyTracker
+from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
+from repro.zx.simplify import SimplificationTimeout
+from repro.zx.worklist import (
+    RULES,
+    DirtyTracker,
+    _pivot_round,
+    full_reduce_incremental,
+)
 from tests.conftest import random_circuit
 
 
@@ -190,6 +203,39 @@ class TestDirtyTracker:
         assert victim not in candidates
         assert former_neighbors <= candidates
 
+    def test_touched_then_removed_vertex_is_never_drained(self):
+        diagram, tracker = self._tracked_diagram()
+        for rule in RULES:
+            tracker.drain(rule)
+        spiders = [
+            v for v in diagram.vertices() if not diagram.is_boundary(v)
+        ]
+        # One vertex removed while its touch is still unflushed, one after
+        # the flush into the per-rule sets.
+        unflushed, flushed = spiders[0], spiders[-1]
+        diagram.set_phase(unflushed, Fraction(1, 4))
+        diagram.remove_vertex(unflushed)
+        diagram.set_phase(flushed, Fraction(1, 4))
+        assert tracker.pending("id")
+        diagram.remove_vertex(flushed)
+        for rule in RULES:
+            candidates = tracker.drain(rule)
+            assert unflushed not in candidates
+            assert flushed not in candidates
+
+    def test_edge_toggle_during_a_drain_reaches_every_rule(self):
+        diagram, tracker = self._tracked_diagram()
+        for rule in RULES:
+            tracker.drain(rule)
+        u, v = [
+            w for w in diagram.vertices() if not diagram.is_boundary(w)
+        ][:2]
+        assert tracker.drain("pivot") == []
+        diagram.toggle_hadamard_edge(u, v)
+        for rule in RULES:
+            assert tracker.pending(rule), rule
+            assert {u, v} <= set(tracker.drain(rule)), rule
+
     def test_single_tracker_enforced(self):
         diagram, tracker = self._tracked_diagram()
         with pytest.raises(ValueError):
@@ -215,3 +261,70 @@ class TestEngineAgreementLargerCircuit:
         legacy, incremental = _reduce_both(circuit, broken)
         assert legacy.num_spiders == incremental.num_spiders
         assert not incremental.is_identity_diagram()
+
+
+def _overlapping_pivots():
+    """Two interior Pauli pairs ``(u1, v1)``, ``(u2, v2)`` on two wires.
+
+    ``u1`` and ``u2`` share the Hadamard neighbor ``w``, so the two pivot
+    matches overlap; the first pivot leaves the second one intact.
+    """
+    diagram = ZXDiagram()
+    quarter = Fraction(1, 4)
+    pairs = []
+    w = None
+    for _ in range(2):
+        b_in = diagram.add_vertex(VertexType.BOUNDARY)
+        b_out = diagram.add_vertex(VertexType.BOUNDARY)
+        diagram.inputs.append(b_in)
+        diagram.outputs.append(b_out)
+        x = diagram.add_vertex(VertexType.Z, quarter)
+        y = diagram.add_vertex(VertexType.Z, quarter)
+        u = diagram.add_vertex(VertexType.Z)
+        v = diagram.add_vertex(VertexType.Z)
+        if w is None:
+            w = diagram.add_vertex(VertexType.Z, quarter)
+        diagram.connect(b_in, x, EdgeType.SIMPLE)
+        diagram.connect(x, u, EdgeType.HADAMARD)
+        diagram.connect(u, v, EdgeType.HADAMARD)
+        diagram.connect(v, y, EdgeType.HADAMARD)
+        diagram.connect(y, b_out, EdgeType.SIMPLE)
+        diagram.connect(u, w, EdgeType.HADAMARD)
+        pairs.append((u, v))
+    return diagram, pairs
+
+
+class TestImmediateApplication:
+    def test_overlapping_pivots_apply_in_one_round(self):
+        diagram, pairs = _overlapping_pivots()
+        before = diagram_to_matrix(diagram)
+        tracker = DirtyTracker(diagram)
+        diagram.attach_tracker(tracker)
+        try:
+            applied = _pivot_round(
+                diagram, tracker, tracker.drain("pivot"), None, None
+            )
+        finally:
+            diagram.detach_tracker()
+        assert applied == 2
+        for u, v in pairs:
+            assert u not in diagram._types and v not in diagram._types
+        assert diagrams_proportional(diagram_to_matrix(diagram), before)
+
+
+def _hwb5_miter():
+    """The composed ``G' G†`` diagram of the Table-1 ``hwb5_5`` cell."""
+    original = reversible.synthesize(reversible.hidden_weighted_bit(5))
+    optimized = optimize_circuit(decompose_to_basis(original), level=2)
+    return _composed(original, optimized)
+
+
+class TestDeadline:
+    def test_deadline_interrupts_a_long_round(self):
+        """hwb5's pivot-gadget round alone runs for about a second, so
+        the deadline must be consulted between rewrites, not per round."""
+        diagram = _hwb5_miter()
+        deadline = time.monotonic() + 0.2
+        with pytest.raises(SimplificationTimeout):
+            full_reduce_incremental(diagram, deadline=deadline)
+        assert time.monotonic() - deadline < 0.3
