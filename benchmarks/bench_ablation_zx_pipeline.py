@@ -16,17 +16,14 @@ from repro.zx import circuit_to_zx
 from repro.zx.simplify import (
     clifford_simp,
     full_reduce,
-    gadget_simp,
-    id_simp,
     interior_clifford_simp,
-    pivot_gadget_simp,
-    to_graph_like,
+    simplify_rule,
 )
 
 
 def _fusion_only(diagram):
-    to_graph_like(diagram)
-    id_simp(diagram)
+    # graph-like conversion (spider fusion), then the id rule alone
+    simplify_rule(diagram, "id")
 
 
 def _interior_clifford(diagram):

@@ -108,7 +108,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         stimuli_type=args.stimuli,
         timeout=args.timeout,
         seed=args.seed,
-        incremental_zx=not args.legacy_zx_simp,
         memory_limit_mb=args.memory_limit,
         max_retries=args.retries,
         num_instantiations=args.instantiations,
@@ -460,11 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--layout1", default=None)
     verify.add_argument("--layout2", default=None)
-    verify.add_argument(
-        "--legacy-zx-simp", action="store_true",
-        help="disable the incremental worklist ZX simplifier and use the "
-        "rescan-to-fixpoint drivers (A/B baseline)",
-    )
     verify.add_argument(
         "--compute-table-size", type=int, default=None,
         metavar="SLOTS",

@@ -55,11 +55,6 @@ class Configuration:
         seed: Seed for the simulation strategy's random stimuli.
         compute_table_size: Slots per DD compute table (rounded up to a
             power of two), or ``None`` for unbounded dict-backed tables.
-        incremental_zx: Use the incremental worklist-driven ZX
-            simplification engine (:mod:`repro.zx.worklist`, default).
-            ``False`` selects the legacy rescan-to-fixpoint drivers in
-            :mod:`repro.zx.simplify` — the seed behaviour, kept for A/B
-            ablation benchmarks (CLI ``--legacy-zx-simp``).
         graceful_degradation: Catch checker failures inside
             :meth:`EquivalenceCheckingManager.run` and degrade them into
             a ``NO_INFORMATION`` result carrying a structured
@@ -111,7 +106,6 @@ class Configuration:
     trace_sizes: bool = False
     seed: Optional[int] = None
     compute_table_size: Optional[int] = DEFAULT_COMPUTE_TABLE_SIZE
-    incremental_zx: bool = True
     graceful_degradation: bool = True
     memory_limit_mb: Optional[int] = None
     max_retries: int = 1

@@ -57,12 +57,7 @@ def zx_check(
     initial_spiders = diagram.num_spiders
     try:
         with perf.phase("simplify"):
-            rewrites = full_reduce(
-                diagram,
-                deadline=deadline,
-                incremental=config.incremental_zx,
-                counters=perf,
-            )
+            rewrites = full_reduce(diagram, deadline=deadline, counters=perf)
         # Reproduction extension: circuits decomposed with different Euler
         # conventions leave numerically-identity single-qubit chains the
         # symbolic rules cannot see; contract them and re-reduce.
@@ -71,10 +66,7 @@ def zx_check(
                 diagram, config.tolerance * 1e4, deadline=deadline
             ):
                 rewrites += full_reduce(
-                    diagram,
-                    deadline=deadline,
-                    incremental=config.incremental_zx,
-                    counters=perf,
+                    diagram, deadline=deadline, counters=perf
                 )
     except SimplificationTimeout as exc:
         raise EquivalenceCheckingTimeout() from exc
@@ -82,7 +74,6 @@ def zx_check(
         "initial_spiders": initial_spiders,
         "spiders_remaining": diagram.num_spiders,
         "zx_rewrites": rewrites,
-        "zx_engine": "incremental" if config.incremental_zx else "legacy",
         "perf": perf.as_dict(),
     }
     permutation = diagram.wire_permutation()

@@ -14,10 +14,11 @@ shapes.  This package turns the claim into a *generative* test:
   rebasing) and equivalence-breaking ones with a known witness (gate
   deletion, CNOT flip, phase nudge), so every pair carries a ground
   truth label,
-* :mod:`repro.fuzz.oracle` — the differential oracle running all six
-  strategies (DD alternating/reference, ZX incremental/legacy,
-  stabilizer when Clifford, random-stimuli simulation) plus the dense
-  unitary ground truth for small widths, and flagging any disagreement,
+* :mod:`repro.fuzz.oracle` — the differential oracle running all five
+  checker strategies (DD alternating/reference, ZX, stabilizer when
+  Clifford, random-stimuli simulation) and the static analyzer, plus the
+  dense unitary ground truth for small widths, and flagging any
+  disagreement,
 * :mod:`repro.fuzz.shrink` — greedy minimization of a failing instance
   by gate removal and qubit projection while the disagreement
   reproduces,

@@ -1,13 +1,13 @@
 """The cross-paradigm differential oracle.
 
 One labeled pair is pushed through every applicable strategy — the two
-DD schemes (alternating, reference construction), both ZX simplification
-engines (incremental worklist and legacy rescan), the stabilizer tableau
-when the pair is Clifford, and the random-stimuli simulation — plus the
-dense-unitary ground truth for widths up to ``dense_limit``.  Symbolic
-pairs (the ``parameterized`` family) swap the whole concrete matrix for
-the two ``parameterized``-strategy modes and a valuation-sampled ground
-truth.  The oracle then classifies the verdict matrix:
+DD schemes (alternating, reference construction), ZX ``full_reduce``,
+the stabilizer tableau when the pair is Clifford, the random-stimuli
+simulation and the static analyzer — plus the dense-unitary ground truth
+for widths up to ``dense_limit``.  Symbolic pairs (the ``parameterized``
+family) swap the whole concrete matrix for the two
+``parameterized``-strategy modes and a valuation-sampled ground truth.
+The oracle then classifies the verdict matrix:
 
 * a *proven* positive (``EQUIVALENT`` / up-to-global-phase) next to a
   ``NOT_EQUIVALENT`` from another checker is always a disagreement —
@@ -47,23 +47,16 @@ from repro.fuzz.generator import LabeledPair
 from repro.fuzz.mutators import LABEL_EQUIVALENT, LABEL_NOT_EQUIVALENT
 
 #: The strategies of the differential matrix: name → configuration
-#: overrides applied on top of the oracle's base configuration.  The six
+#: overrides applied on top of the oracle's base configuration.  The five
 #: checker participants run with ``static_analysis=False`` so their
-#: verdicts stay independent of the analyzer; the seventh participant IS
+#: verdicts stay independent of the analyzer; the sixth participant IS
 #: the static analyzer, so a sound-but-wrong static witness shows up as
 #: an ordinary ``false_positive``-style disagreement against dense
 #: ground truth and gets shrunk and persisted like any checker bug.
 STRATEGY_MATRIX: Tuple[Tuple[str, Dict[str, object]], ...] = (
     ("dd_alternating", {"strategy": "alternating", "static_analysis": False}),
     ("dd_reference", {"strategy": "construction", "static_analysis": False}),
-    (
-        "zx_incremental",
-        {"strategy": "zx", "incremental_zx": True, "static_analysis": False},
-    ),
-    (
-        "zx_legacy",
-        {"strategy": "zx", "incremental_zx": False, "static_analysis": False},
-    ),
+    ("zx", {"strategy": "zx", "static_analysis": False}),
     ("stabilizer", {"strategy": "stabilizer", "static_analysis": False}),
     ("simulation", {"strategy": "simulation", "static_analysis": False}),
     ("static_analysis", {"strategy": "analysis"}),
@@ -93,7 +86,7 @@ PARAMETERIZED_MATRIX: Tuple[Tuple[str, Dict[str, object]], ...] = (
     ),
 )
 
-#: The optional eighth participant: the concurrent strategy portfolio.
+#: The optional seventh participant: the concurrent strategy portfolio.
 #: It races the same checkers as sandboxed children, so cross-checking
 #: its verdict against the sequential matrix exercises the whole race
 #: machinery (launch, kill, reap, verdict selection) per fuzzed pair.

@@ -5,13 +5,14 @@ wall time per checker phase plus ad-hoc counters, and
 :func:`package_statistics` snapshots a :class:`repro.dd.ArrayDDPackage`'s
 compute-table hit/miss/eviction counters, complex-table statistics,
 unique-node counts and node-store probe counters.  The ZX checker threads the same ``PerfCounters``
-through ``full_reduce``, which reports per-rule ``zx.<rule>.matches`` /
-``zx.<rule>.rewrites`` counts plus ``zx.rounds`` (outer rounds to
-fixpoint) and the ``simplify`` / ``chain_contraction`` phase timers.
-Everything is a plain dictionary once serialized, so it flows through
+through ``full_reduce``, which reports per-rule ``zx.<rule>.candidates``
+(vertices drained from the rule's worklist) / ``zx.<rule>.rewrites``
+counts plus ``zx.rounds`` (outer rounds to fixpoint) and the
+``simplify`` / ``chain_contraction`` phase timers.  Everything is a plain
+dictionary once serialized, so it flows through
 :class:`repro.ec.results.EquivalenceCheckingResult` and the CLI
 ``--verbose`` output unchanged, and lands in benchmark JSON artifacts
-(e.g. ``BENCH_zx_simplify.json``) for trend tracking.
+for trend tracking.
 """
 
 from repro.perf.counters import (

@@ -7,7 +7,9 @@ normal form, and the simplification strategy built on spider fusion,
 identity removal, local complementation, pivoting and phase gadgets
 (``full_reduce``), plus equivalence checking by composing one circuit with
 the adjoint of the other and reducing towards a bare-wire permutation
-diagram.
+diagram.  One engine runs every simplification: :mod:`repro.zx.simplify`
+owns both the rewrite rules and the dirty-vertex worklist that schedules
+them.
 
 A tensor-network evaluator (:mod:`repro.zx.tensor`) provides exact dense
 semantics for small diagrams so every rewrite rule is testable against the

@@ -40,11 +40,12 @@ class EdgeType(IntEnum):
 class ZXDiagram:
     """A mutable ZX-diagram.
 
-    A *mutation tracker* (see :class:`repro.zx.worklist.DirtyTracker`) can be
+    A *mutation tracker* (see :class:`repro.zx.simplify.DirtyTracker`) can be
     attached; while attached, every mutation that can change a rewrite-rule
     match — phase, type, or incident-edge changes — notifies the tracker with
     the affected vertex ids.  The hooks are a single ``is not None`` check
-    when no tracker is attached, so the legacy (untracked) paths pay nothing.
+    when no tracker is attached, so untracked mutation (circuit conversion,
+    composition, extraction) pays nothing.
     """
 
     def __init__(self) -> None:

@@ -1,9 +1,10 @@
 """Primitive ZX rewrite rules (the paper's Fig. 5 axioms, operationalized).
 
 The simplification pipeline in :mod:`repro.zx.simplify` applies these rules
-wholesale; this module exposes them one application at a time, which is
-what Example 6/7-style manual derivations and the axiom-soundness tests
-(against the tensor semantics) need.
+wholesale, scheduled by its dirty-vertex worklist; this module exposes them
+one application at a time, which is what Example 6/7-style manual
+derivations and the axiom-soundness tests (against the tensor semantics)
+need.
 
 Mapping to the paper's axiom names:
 
@@ -97,13 +98,14 @@ def hopf(diagram: ZXDiagram, u: int, v: int) -> None:
 
 
 def local_complement(diagram: ZXDiagram, vertex: int) -> None:
-    """One local-complementation application (see
-    :func:`repro.zx.simplify.lcomp_simp` for the applicability conditions,
-    which are *not* re-checked here)."""
+    """One local-complementation application (the applicability
+    conditions of the ``lcomp`` rule in :mod:`repro.zx.simplify` are *not*
+    re-checked here)."""
     lcomp_step(diagram, vertex)
 
 
 def pivot(diagram: ZXDiagram, u: int, v: int) -> None:
-    """One pivot application along the Hadamard edge ``(u, v)`` (conditions
-    as in :func:`repro.zx.simplify.pivot_simp`, not re-checked here)."""
+    """One pivot application along the Hadamard edge ``(u, v)`` (the
+    conditions of the ``pivot`` rule in :mod:`repro.zx.simplify` are not
+    re-checked here)."""
     pivot_step(diagram, u, v)

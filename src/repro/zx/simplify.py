@@ -9,16 +9,17 @@ possible using the local complementation and pivoting rules").
 
 A diagram is *graph-like* when every spider is a Z spider, spiders are only
 connected by Hadamard edges, and there are no parallel edges or self-loops.
-On graph-like diagrams the following rewrite families apply:
+On graph-like diagrams the following rewrite rules apply (the names in
+:data:`RULES`):
 
-* ``id_simp`` — remove phase-0 degree-2 spiders,
-* ``lcomp_simp`` — local complementation, eliminating interior spiders with
+* ``id`` — remove phase-0 degree-2 spiders,
+* ``lcomp`` — local complementation, eliminating interior spiders with
   phase ±pi/2,
-* ``pivot_simp`` — pivoting, eliminating pairs of adjacent interior Pauli
+* ``pivot`` — pivoting, eliminating pairs of adjacent interior Pauli
   spiders,
-* ``pivot_gadget_simp`` / ``pivot_boundary_simp`` — pivot variants that
-  first gadgetize a non-Pauli partner or detach a boundary-adjacent one,
-* ``gadget_simp`` — fusion of phase gadgets with identical support.
+* ``pivot_gadget`` / ``pivot_boundary`` — pivot variants that first
+  gadgetize a non-Pauli partner or detach a boundary-adjacent one,
+* ``gadget`` — fusion of phase gadgets with identical support.
 
 All rewrites hold up to a global scalar, which the equivalence-checking
 use-case does not need (tensor tests compare up to proportionality).
@@ -26,26 +27,55 @@ The number of spiders never increases — the property the paper highlights
 ("because the number of spiders are non-increasing [...] the size of the
 diagram does not blow up").
 
-Two execution engines share the rule *steps* and *match predicates* defined
-here:
+Each rule is a match *predicate* (the ``_*_applicable`` functions and
+``_gadget_shape``) plus a rewrite *step* (the ``*_step`` functions); a
+dirty-vertex worklist schedules them, so a pass re-examines only vertices
+whose neighborhood changed instead of rescanning the whole diagram:
 
-* the **legacy rescan drivers** in this module (``id_simp`` & friends)
-  rescan every vertex/edge after each application — O(rounds × |G|); they
-  are kept as the A/B baseline behind ``full_reduce(..., incremental=False)``
-  (CLI ``--legacy-zx-simp``), and
+* A :class:`DirtyTracker` attaches to the :class:`~repro.zx.diagram.ZXDiagram`
+  and receives a ``touch(v)`` notification for every mutation that can
+  change a rule match at ``v`` — phase, type, or incident-edge changes
+  (vertex removal touches all former neighbors).  Each rule keeps its
+  *own* dirty set, seeded with every vertex, so a vertex dirtied while
+  one rule runs is still pending for all the others.
 
-* the **incremental worklist engine** in :mod:`repro.zx.worklist`, the
-  default, which re-examines only vertices whose neighborhood changed.
+* Every rule match is *local*: whether a rule applies at a vertex (or
+  edge) depends only on that vertex and its direct neighbors — plus, for
+  the gadget guards, neighbor degrees, which are themselves invalidated
+  only by edge mutations that touch the middle vertex.  Draining a rule's
+  dirty set therefore returns the dirty vertices **plus their current
+  neighbors** as the complete candidate set; everything else is provably
+  still a non-match.
+
+* The tracker additionally maintains *phase-indexed spider sets*
+  (:attr:`DirtyTracker.pauli_spiders` / ``clifford_spiders``) so the
+  pivot-family and local-complementation rules intersect their candidates
+  down to the few phases they can fire on; interior-ness (a neighbor
+  property) is validated at match time.
+
+* A rule applies each match **as soon as** its predicates pass on the
+  live diagram, then keeps scanning its drained candidates: a match is
+  only ever judged against the diagram it is applied to, so an earlier
+  rewrite in the same round (including a spider-fusion cascade inside
+  ``id_step``) cannot invalidate it — at worst it makes a later candidate
+  fail its check, and the vertices that rewrite touched are re-queued for
+  every rule anyway.  The deadline is checked before every applied
+  rewrite, since a single round can run thousands of them.
+
+* Notifications are coalesced: ``touch``/``touch_edges`` add to one
+  shared *fresh* set, which ``pending``/``drain`` flush into all six rule
+  sets with one ``set.update`` each — instead of six set insertions per
+  notification on the hottest path of the scheduler.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
-from repro.zx.phase import SymbolicPhase, negate_phase
+from repro.zx.phase import Phase, SymbolicPhase, negate_phase
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -229,32 +259,6 @@ def id_step(diagram: ZXDiagram, vertex: int) -> None:
         _fuse(diagram, n1, n2)
 
 
-def id_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
-    """Remove phase-0 Z spiders of degree two; returns number removed.
-
-    Legacy rescan driver (the incremental engine lives in
-    :mod:`repro.zx.worklist`).
-    """
-    removed = 0
-    again = True
-    while again:
-        _check_deadline(deadline)
-        again = False
-        # repro: allow(deadline-loop): deadline is consulted once per rescan round by the enclosing while; a per-vertex check would skew the legacy A/B baseline
-        for vertex in list(diagram.vertices()):
-            if vertex not in diagram._types:
-                continue
-            if not _id_applicable(diagram, vertex):
-                continue
-            id_step(diagram, vertex)
-            removed += 1
-            again = True
-    if counters is not None and removed:
-        counters.count("zx.id.matches", removed)
-        counters.count("zx.id.rewrites", removed)
-    return removed
-
-
 # ---------------------------------------------------------------------------
 # local complementation
 # ---------------------------------------------------------------------------
@@ -323,31 +327,6 @@ def _lcomp_applicable(diagram: ZXDiagram, vertex: int) -> bool:
     )
 
 
-def lcomp_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
-    """Eliminate interior ±pi/2 spiders via local complementation.
-
-    Legacy rescan driver (the incremental engine lives in
-    :mod:`repro.zx.worklist`).
-    """
-    applied = 0
-    again = True
-    while again:
-        _check_deadline(deadline)
-        again = False
-        # repro: allow(deadline-loop): deadline is consulted once per rescan round by the enclosing while; a per-vertex check would skew the legacy A/B baseline
-        for vertex in list(diagram.vertices()):
-            if vertex not in diagram._types:
-                continue
-            if _lcomp_applicable(diagram, vertex):
-                lcomp_step(diagram, vertex)
-                applied += 1
-                again = True
-    if counters is not None and applied:
-        counters.count("zx.lcomp.matches", applied)
-        counters.count("zx.lcomp.rewrites", applied)
-    return applied
-
-
 # ---------------------------------------------------------------------------
 # pivoting
 # ---------------------------------------------------------------------------
@@ -398,35 +377,6 @@ def _pivot_applicable(diagram: ZXDiagram, u: int, v: int) -> bool:
     )
 
 
-def pivot_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
-    """Eliminate adjacent interior Pauli spider pairs via pivoting.
-
-    Legacy rescan driver (the incremental engine lives in
-    :mod:`repro.zx.worklist`).
-    """
-    applied = 0
-    again = True
-    while again:
-        _check_deadline(deadline)
-        again = False
-        # repro: allow(deadline-loop): deadline is consulted once per rescan round by the enclosing while; a per-edge check would skew the legacy A/B baseline
-        for u, v, edge_type in list(diagram.edges()):
-            if u not in diagram._types or v not in diagram._types:
-                continue
-            if not diagram.connected(u, v):
-                continue  # edge toggled away by an earlier rewrite
-            if diagram.edge_type(u, v) is not EdgeType.HADAMARD:
-                continue
-            if _pivot_applicable(diagram, u, v):
-                pivot_step(diagram, u, v)
-                applied += 1
-                again = True
-    if counters is not None and applied:
-        counters.count("zx.pivot.matches", applied)
-        counters.count("zx.pivot.rewrites", applied)
-    return applied
-
-
 # ---------------------------------------------------------------------------
 # pivot variants: gadgetization and boundary handling
 # ---------------------------------------------------------------------------
@@ -470,61 +420,10 @@ def _pivot_gadget_partner_applicable(diagram: ZXDiagram, b: int) -> bool:
     )
 
 
-def _pivot_gadget_applicable(diagram: ZXDiagram, a: int, b: int) -> bool:
-    """Interior Pauli spider ``a`` against interior non-Pauli partner ``b``.
-
-    Neither endpoint may belong to an existing gadget (be, or be adjacent
-    to, a degree-1 leaf): re-gadgetizing gadget structure would cycle
-    forever.  The partner's phase screen goes first — during the
-    Clifford-dominated rounds most partners are Pauli, so most calls exit
-    after two dictionary loads.
-    """
-    return _pivot_gadget_partner_applicable(
-        diagram, b
-    ) and _pivot_gadget_anchor_applicable(diagram, a)
-
-
 def pivot_gadget_step(diagram: ZXDiagram, a: int, b: int) -> None:
     """Gadgetize the non-Pauli partner ``b``, then pivot along ``(a, b)``."""
     _gadgetize(diagram, b)
     pivot_step(diagram, a, b)
-
-
-def pivot_gadget_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
-    """Pivot interior Pauli spiders against non-Pauli partners.
-
-    The non-Pauli partner's phase is first extracted into a phase gadget,
-    making the partner a Pauli spider, after which a regular pivot removes
-    the original pair.  This is what drives non-Clifford circuits towards
-    the reduced gadget form of Kissinger & van de Wetering.
-
-    Legacy rescan driver (the incremental engine lives in
-    :mod:`repro.zx.worklist`).
-    """
-    applied = 0
-    again = True
-    while again:
-        _check_deadline(deadline)
-        again = False
-        # repro: allow(deadline-loop): deadline is consulted once per rescan round by the enclosing while; a per-edge check would skew the legacy A/B baseline
-        for u, v, edge_type in list(diagram.edges()):
-            if u not in diagram._types or v not in diagram._types:
-                continue
-            if not diagram.connected(u, v):
-                continue  # edge toggled away by an earlier rewrite
-            if diagram.edge_type(u, v) is not EdgeType.HADAMARD:
-                continue
-            # repro: allow(deadline-loop): bounded two-iteration orientation loop
-            for a, b in ((u, v), (v, u)):
-                if _pivot_gadget_applicable(diagram, a, b):
-                    pivot_gadget_step(diagram, a, b)
-                    applied += 1
-                    again = True
-                    break
-    if counters is not None and applied:
-        counters.count("zx.pivot_gadget.matches", applied)
-        counters.count("zx.pivot_gadget.rewrites", applied)
-    return applied
 
 
 def _pivot_boundary_partner_applicable(diagram: ZXDiagram, b: int) -> bool:
@@ -544,13 +443,6 @@ def _pivot_boundary_partner_applicable(diagram: ZXDiagram, b: int) -> bool:
         elif neighbor_type is not VertexType.Z:
             return False
     return boundary_adjacent
-
-
-def _pivot_boundary_applicable(diagram: ZXDiagram, a: int, b: int) -> bool:
-    """Interior Pauli spider ``a`` against boundary-adjacent partner ``b``."""
-    return _pivot_boundary_partner_applicable(
-        diagram, b
-    ) and _pivot_endpoint_applicable(diagram, a)
 
 
 def pivot_boundary_step(diagram: ZXDiagram, a: int, b: int) -> None:
@@ -574,43 +466,6 @@ def pivot_boundary_step(diagram: ZXDiagram, a: int, b: int) -> None:
             else EdgeType.HADAMARD,
         )
     pivot_step(diagram, a, b)
-
-
-def pivot_boundary_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
-    """Pivot interior Pauli spiders against boundary-adjacent partners.
-
-    The partner's boundary wires are first buffered with fresh spiders so
-    it becomes interior; the net effect removes one interior Pauli spider
-    per application without growing the spider count (one removed by the
-    pivot for each one inserted).
-
-    Legacy rescan driver (the incremental engine lives in
-    :mod:`repro.zx.worklist`).
-    """
-    applied = 0
-    again = True
-    while again:
-        _check_deadline(deadline)
-        again = False
-        # repro: allow(deadline-loop): deadline is consulted once per rescan round by the enclosing while; a per-edge check would skew the legacy A/B baseline
-        for u, v, edge_type in list(diagram.edges()):
-            if u not in diagram._types or v not in diagram._types:
-                continue
-            if not diagram.connected(u, v):
-                continue  # edge toggled away by an earlier rewrite
-            if diagram.edge_type(u, v) is not EdgeType.HADAMARD:
-                continue
-            # repro: allow(deadline-loop): bounded two-iteration orientation loop
-            for a, b in ((u, v), (v, u)):
-                if _pivot_boundary_applicable(diagram, a, b):
-                    pivot_boundary_step(diagram, a, b)
-                    applied += 1
-                    again = True
-                    break
-    if counters is not None and applied:
-        counters.count("zx.pivot_boundary.matches", applied)
-        counters.count("zx.pivot_boundary.rewrites", applied)
-    return applied
 
 
 # ---------------------------------------------------------------------------
@@ -650,130 +505,444 @@ def gadget_fuse_step(
     diagram.remove_vertex(merge_axis)
 
 
-def gadget_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
-    """Fuse phase gadgets with identical support (reduced gadget form).
+# ---------------------------------------------------------------------------
+# the worklist schedule
+# ---------------------------------------------------------------------------
+#: Rule identifiers — one dirty set each.
+RULES = (
+    "id", "lcomp", "pivot", "pivot_gadget", "pivot_boundary", "gadget",
+)
 
-    Legacy rescan driver (the incremental engine lives in
-    :mod:`repro.zx.worklist`).
+
+class DirtyTracker:
+    """Per-rule dirty sets plus phase-indexed candidate sets.
+
+    Invariants while attached (checked by ``tests/zx/test_incremental.py``):
+
+    * every live vertex whose neighborhood changed since rule ``r`` last
+      drained is in ``_fresh`` or ``_dirty[r]`` (removal instead touches
+      the neighbors); ``pending``/``drain`` flush ``_fresh`` first, so
+      they always see the union;
+    * ``v in pauli_spiders`` iff ``v`` is a live Z spider with phase
+      0 or pi, and ``v in clifford_spiders`` iff its phase is ±pi/2
+      (interior-ness is *not* part of the invariant — it is a neighbor
+      property, re-checked at match time);
+    * ``gadget_supports`` is a cache, validated on every hit — a stale
+      entry can cost a lookup, never a wrong fusion.
     """
+
+    __slots__ = (
+        "diagram", "_fresh", "_dirty", "pauli_spiders", "clifford_spiders",
+        "gadget_supports", "_axis_key",
+    )
+
+    def __init__(self, diagram: ZXDiagram) -> None:
+        self.diagram = diagram
+        seed = tuple(diagram._types)
+        #: touched since the last flush, not yet in any rule's dirty set
+        self._fresh: Set[int] = set()
+        self._dirty: Dict[str, Set[int]] = {
+            rule: set(seed) for rule in RULES
+        }
+        self.pauli_spiders: Set[int] = set()
+        self.clifford_spiders: Set[int] = set()
+        #: support -> (axis, leaf) of a registered phase gadget
+        self.gadget_supports: Dict[FrozenSet[int], Tuple[int, int]] = {}
+        self._axis_key: Dict[int, FrozenSet[int]] = {}
+        for vertex in seed:
+            self._reindex(vertex)
+
+    # -- notifications from the diagram ---------------------------------
+    def touch(self, vertex: int) -> None:
+        """The vertex's phase or type changed (re-examines + re-indexes)."""
+        self._fresh.add(vertex)
+        self._reindex(vertex)
+
+    def touch_edges(self, vertex: int) -> None:
+        """An incident edge changed — phase and type are intact, so the
+        vertex only needs re-examination, not re-indexing."""
+        self._fresh.add(vertex)
+
+    def forget(self, vertex: int) -> None:
+        """The vertex was removed."""
+        self._fresh.discard(vertex)
+        for dirty in self._dirty.values():
+            dirty.discard(vertex)
+        self.pauli_spiders.discard(vertex)
+        self.clifford_spiders.discard(vertex)
+        self.drop_gadgets((vertex,))
+
+    def drop_gadgets(self, axes: Iterable[int]) -> None:
+        """Unregister the gadgets cached under any of ``axes``."""
+        supports = self.gadget_supports
+        for axis in axes:
+            key = self._axis_key.pop(axis, None)
+            if key is not None:
+                entry = supports.get(key)
+                if entry is not None and entry[0] == axis:
+                    del supports[key]
+
+    # -- worklist access -------------------------------------------------
+    def _flush(self) -> None:
+        fresh = self._fresh
+        if fresh:
+            for dirty in self._dirty.values():
+                dirty.update(fresh)
+            fresh.clear()
+
+    def pending(self, rule: str) -> bool:
+        self._flush()
+        return bool(self._dirty[rule])
+
+    def drain(self, rule: str) -> List[int]:
+        """Consume the rule's dirty set; return sorted live candidates.
+
+        Candidates are the dirty vertices plus their *current* neighbors —
+        the complete set of vertices at which a match may have appeared or
+        disappeared (sorted for deterministic rewrite order).
+        """
+        self._flush()
+        dirty = self._dirty[rule]
+        if not dirty:
+            return []
+        self._dirty[rule] = set()
+        alive = self.diagram._types
+        adjacency = self.diagram._adjacency
+        candidates: Set[int] = set()
+        for vertex in dirty:
+            if vertex in alive:
+                candidates.add(vertex)
+                candidates.update(adjacency[vertex])
+        return sorted(candidates)
+
+    # -- phase-indexed candidate sets ------------------------------------
+    def _reindex(self, vertex: int) -> None:
+        types = self.diagram._types
+        if types.get(vertex) is VertexType.Z:
+            phase: Phase = self.diagram._phases[vertex]
+            # Stored phases are normalized to [0, 2): denominator 1 means
+            # 0 or pi (Pauli), denominator 2 means ±pi/2 (proper Clifford)
+            # — the _stored_pauli / _stored_proper_clifford tests, inlined
+            # because touch() is the hottest tracker path.
+            if type(phase) is Fraction:
+                denominator = phase.denominator
+                if denominator == 1:
+                    self.pauli_spiders.add(vertex)
+                    self.clifford_spiders.discard(vertex)
+                    return
+                if denominator == 2:
+                    self.clifford_spiders.add(vertex)
+                    self.pauli_spiders.discard(vertex)
+                    return
+        self.pauli_spiders.discard(vertex)
+        self.clifford_spiders.discard(vertex)
+
+
+def _count(counters, name: str, amount: int) -> None:
+    if counters is not None and amount:
+        counters.count(name, amount)
+
+
+def _id_round(
+    diagram: ZXDiagram, tracker: DirtyTracker, candidates, deadline, counters
+) -> int:
+    alive = diagram._types
     applied = 0
-    gadgets: Dict[FrozenSet[int], Tuple[int, int]] = {}
-    for leaf in list(diagram.vertices()):
-        _check_deadline(deadline)
-        if leaf not in diagram._types:
+    for vertex in candidates:
+        if vertex in alive and _id_applicable(diagram, vertex):
+            _check_deadline(deadline)
+            id_step(diagram, vertex)
+            applied += 1
+    _count(counters, "zx.id.rewrites", applied)
+    return applied
+
+
+def _lcomp_round(
+    diagram: ZXDiagram, tracker: DirtyTracker, candidates, deadline, counters
+) -> int:
+    index = tracker.clifford_spiders
+    applied = 0
+    for vertex in candidates:
+        if vertex in index and _lcomp_applicable(diagram, vertex):
+            _check_deadline(deadline)
+            lcomp_step(diagram, vertex)
+            applied += 1
+    _count(counters, "zx.lcomp.rewrites", applied)
+    return applied
+
+
+def _edge_round(
+    diagram: ZXDiagram,
+    rule: str,
+    anchors: Iterable[int],
+    anchor_ok,
+    partner_ok,
+    step,
+    deadline,
+    counters,
+) -> int:
+    """One round of an edge-anchored pivot-family rule.
+
+    ``anchors`` are candidate first-endpoints; each Hadamard edge
+    ``(a, b)`` whose predicates pass is rewritten on the spot.  Every
+    pivot-family step deletes its anchor, so the scan moves on to the next
+    anchor after a rewrite; a later anchor the rewrite removed or changed
+    is judged on the live diagram when its turn comes.  The match
+    predicate is split: ``anchor_ok(diagram, a)`` covers everything
+    depending on the anchor alone and runs **once per anchor**,
+    ``partner_ok(diagram, b)`` covers the other endpoint and runs per
+    Hadamard edge — without the split, an anchor of degree *d* would
+    re-scan its own neighborhood *d* times.  Partner results are memoized
+    until the next applied rewrite (which can change any of them), so a
+    partner of in-degree *k* is not re-scanned *k* times in between.
+    """
+    alive = diagram._types
+    adjacency = diagram._adjacency
+    applied = 0
+    partner_cache: Dict[int, bool] = {}
+    for a in anchors:
+        if a not in alive or not anchor_ok(diagram, a):
+            continue
+        neighbors = adjacency[a]
+        for b in sorted(neighbors):
+            if neighbors[b] is not EdgeType.HADAMARD:
+                continue
+            ok = partner_cache.get(b)
+            if ok is None:
+                ok = partner_cache[b] = partner_ok(diagram, b)
+            if ok:
+                _check_deadline(deadline)
+                step(diagram, a, b)
+                applied += 1
+                partner_cache.clear()
+                break
+    _count(counters, f"zx.{rule}.rewrites", applied)
+    return applied
+
+
+def _pivot_round(
+    diagram: ZXDiagram, tracker: DirtyTracker, candidates, deadline, counters
+) -> int:
+    anchors = [v for v in candidates if v in tracker.pauli_spiders]
+    return _edge_round(
+        diagram, "pivot", anchors,
+        _pivot_endpoint_applicable, _pivot_endpoint_applicable, pivot_step,
+        deadline, counters,
+    )
+
+
+def _pivot_gadget_round(
+    diagram: ZXDiagram, tracker: DirtyTracker, candidates, deadline, counters
+) -> int:
+    # The Pauli anchor is drained directly, or is a neighbor of the dirty
+    # non-Pauli partner — drain() already added those neighbors.
+    anchors = [v for v in candidates if v in tracker.pauli_spiders]
+    return _edge_round(
+        diagram, "pivot_gadget", anchors,
+        _pivot_gadget_anchor_applicable, _pivot_gadget_partner_applicable,
+        pivot_gadget_step, deadline, counters,
+    )
+
+
+def _pivot_boundary_round(
+    diagram: ZXDiagram, tracker: DirtyTracker, candidates, deadline, counters
+) -> int:
+    anchors = [v for v in candidates if v in tracker.pauli_spiders]
+    return _edge_round(
+        diagram, "pivot_boundary", anchors,
+        _pivot_endpoint_applicable, _pivot_boundary_partner_applicable,
+        pivot_boundary_step, deadline, counters,
+    )
+
+
+def _gadget_round(
+    diagram: ZXDiagram, tracker: DirtyTracker, candidates, deadline, counters
+) -> int:
+    supports = tracker.gadget_supports
+    axis_key = tracker._axis_key
+    # Invalidate cache entries whose axis neighborhood may have changed.
+    tracker.drop_gadgets(candidates)
+    alive = diagram._types
+    applied = 0
+    for leaf in candidates:
+        if leaf not in alive:
             continue
         shape = _gadget_shape(diagram, leaf)
         if shape is None:
             continue
         axis, support = shape
-        if support in gadgets:
-            other_axis, other_leaf = gadgets[support]
-            gadget_fuse_step(diagram, other_leaf, axis, leaf)
+        existing = supports.get(support)
+        if existing is not None and existing[0] != axis:
+            other_axis, other_leaf = existing
+            # Validate the cached entry against the live diagram — it may
+            # be stale (e.g. the axis grew a second leaf and was later
+            # re-registered under a different key).
+            stale = (
+                other_axis not in alive
+                or other_leaf not in alive
+                or diagram.phase(other_axis) != _ZERO
+                or _gadget_shape(diagram, other_leaf) != (other_axis, support)
+            )
+            if stale:
+                del supports[support]
+                axis_key.pop(other_axis, None)
+                existing = None
+        if existing is not None and existing[0] != axis:
+            _check_deadline(deadline)
+            gadget_fuse_step(diagram, existing[1], axis, leaf)
             applied += 1
         else:
-            gadgets[support] = (axis, leaf)
-    if counters is not None and applied:
-        counters.count("zx.gadget.matches", applied)
-        counters.count("zx.gadget.rewrites", applied)
+            supports[support] = (axis, leaf)
+            axis_key[axis] = support
+    _count(counters, "zx.gadget.rewrites", applied)
     return applied
+
+
+_ROUNDS = {
+    "id": _id_round,
+    "lcomp": _lcomp_round,
+    "pivot": _pivot_round,
+    "pivot_gadget": _pivot_gadget_round,
+    "pivot_boundary": _pivot_boundary_round,
+    "gadget": _gadget_round,
+}
+
+
+def _run_rule(
+    diagram: ZXDiagram, tracker: DirtyTracker, rule: str, deadline, counters
+) -> int:
+    """Drive one rule to its local fixpoint over its own dirty set."""
+    round_fn = _ROUNDS[rule]
+    applied = 0
+    while tracker.pending(rule):
+        _check_deadline(deadline)
+        candidates = tracker.drain(rule)
+        _count(counters, f"zx.{rule}.candidates", len(candidates))
+        applied += round_fn(diagram, tracker, candidates, deadline, counters)
+    return applied
+
+
+def _interior_clifford(diagram, tracker, deadline, counters) -> int:
+    total = 0
+    while True:
+        applied = _run_rule(diagram, tracker, "id", deadline, counters)
+        applied += _run_rule(diagram, tracker, "pivot", deadline, counters)
+        applied += _run_rule(diagram, tracker, "lcomp", deadline, counters)
+        total += applied
+        if not applied:
+            return total
+
+
+def _clifford(diagram, tracker, deadline, counters) -> int:
+    total = 0
+    while True:
+        applied = _interior_clifford(diagram, tracker, deadline, counters)
+        applied += _run_rule(
+            diagram, tracker, "pivot_boundary", deadline, counters
+        )
+        total += applied
+        if not applied:
+            return total
+
+
+def _with_tracker(diagram: ZXDiagram, deadline, body) -> int:
+    """Graph-like normalization, tracker attach/run/detach."""
+    to_graph_like(diagram, deadline=deadline)
+    tracker = DirtyTracker(diagram)
+    diagram.attach_tracker(tracker)
+    try:
+        return body(tracker)
+    finally:
+        diagram.detach_tracker()
 
 
 # ---------------------------------------------------------------------------
 # pipelines
 # ---------------------------------------------------------------------------
+def simplify_rule(
+    diagram: ZXDiagram, rule: str, deadline=None, counters=None
+) -> int:
+    """Drive the single rule ``rule`` (one of :data:`RULES`) to fixpoint.
+
+    Converts to graph-like form first, like every pipeline; returns the
+    number of rewrites.  The pipelines below interleave the rules — this
+    entry point isolates one of them (per-rule tests, pipeline ablations).
+    """
+    return _with_tracker(
+        diagram,
+        deadline,
+        lambda tracker: _run_rule(diagram, tracker, rule, deadline, counters),
+    )
+
+
 def interior_clifford_simp(
-    diagram: ZXDiagram, deadline=None, incremental: bool = True, counters=None
+    diagram: ZXDiagram, deadline=None, counters=None
 ) -> int:
     """Spider fusion + identity + pivoting + local complementation loop."""
-    if incremental:
-        from repro.zx.worklist import interior_clifford_simp_incremental
-
-        return interior_clifford_simp_incremental(
-            diagram, deadline=deadline, counters=counters
-        )
-    total = 0
-    to_graph_like(diagram, deadline=deadline)
-    while True:
-        applied = id_simp(diagram, deadline, counters)
-        applied += pivot_simp(diagram, deadline, counters)
-        applied += lcomp_simp(diagram, deadline, counters)
-        total += applied
-        if not applied:
-            return total
+    return _with_tracker(
+        diagram,
+        deadline,
+        lambda tracker: _interior_clifford(
+            diagram, tracker, deadline, counters
+        ),
+    )
 
 
-def clifford_simp(
-    diagram: ZXDiagram, deadline=None, incremental: bool = True, counters=None
-) -> int:
+def clifford_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
     """Interior Clifford simplification plus boundary pivots."""
-    if incremental:
-        from repro.zx.worklist import clifford_simp_incremental
-
-        return clifford_simp_incremental(
-            diagram, deadline=deadline, counters=counters
-        )
-    total = 0
-    while True:
-        applied = interior_clifford_simp(
-            diagram, deadline, incremental=False, counters=counters
-        )
-        applied += pivot_boundary_simp(diagram, deadline, counters)
-        total += applied
-        if not applied:
-            return total
+    return _with_tracker(
+        diagram,
+        deadline,
+        lambda tracker: _clifford(diagram, tracker, deadline, counters),
+    )
 
 
 def full_reduce(
     diagram: ZXDiagram,
     max_rounds: int = 10_000,
     deadline=None,
-    incremental: bool = True,
     counters=None,
 ) -> int:
     """The full simplification strategy (PyZX's ``full_reduce``).
 
     Returns the total number of rewrite applications.  Termination is
     guaranteed because every constituent strictly reduces a well-founded
-    measure; ``max_rounds`` is a safety backstop only.
+    measure; ``max_rounds`` is a safety backstop only.  After the initial
+    sweep (every rule's dirty set starts full) each pass only examines
+    vertices whose neighborhood a rewrite actually changed, so the
+    quiescent passes degenerate to empty-set checks.
 
-    ``incremental`` selects the worklist engine of
-    :mod:`repro.zx.worklist` (the default); ``False`` runs the legacy
-    rescan-to-fixpoint drivers in this module (CLI ``--legacy-zx-simp``).
     ``counters``, when given, is a :class:`repro.perf.PerfCounters`-style
-    object that receives per-rule ``zx.<rule>.matches`` /
+    object that receives per-rule ``zx.<rule>.candidates`` /
     ``zx.<rule>.rewrites`` counts plus ``zx.rounds``.
     """
     # An expired deadline must fire even when the diagram offers no
     # matches (the per-rule checks only run inside match loops).
     _check_deadline(deadline)
-    if incremental:
-        from repro.zx.worklist import full_reduce_incremental
 
-        return full_reduce_incremental(
-            diagram, max_rounds=max_rounds, deadline=deadline,
-            counters=counters,
+    def body(tracker: DirtyTracker) -> int:
+        total = _interior_clifford(diagram, tracker, deadline, counters)
+        total += _run_rule(
+            diagram, tracker, "pivot_gadget", deadline, counters
         )
-    total = interior_clifford_simp(
-        diagram, deadline, incremental=False, counters=counters
-    )
-    total += pivot_gadget_simp(diagram, deadline, counters)
-    rounds = 0
-    for _ in range(max_rounds):
-        rounds += 1
-        applied = clifford_simp(
-            diagram, deadline, incremental=False, counters=counters
-        )
-        applied += gadget_simp(diagram, deadline, counters)
-        applied += interior_clifford_simp(
-            diagram, deadline, incremental=False, counters=counters
-        )
-        applied += pivot_gadget_simp(diagram, deadline, counters)
-        total += applied
-        if not applied:
-            break
-    if counters is not None:
-        counters.count("zx.rounds", rounds)
-    return total
+        rounds = 0
+        for _ in range(max_rounds):
+            rounds += 1
+            applied = _clifford(diagram, tracker, deadline, counters)
+            applied += _run_rule(
+                diagram, tracker, "gadget", deadline, counters
+            )
+            applied += _interior_clifford(diagram, tracker, deadline, counters)
+            applied += _run_rule(
+                diagram, tracker, "pivot_gadget", deadline, counters
+            )
+            total += applied
+            if not applied:
+                break
+        _count(counters, "zx.rounds", rounds)
+        return total
+
+    return _with_tracker(diagram, deadline, body)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Cross-feature interaction sweep (satellite of the fuzzing PR).
+"""Cross-feature interaction sweep over 200 small labeled fuzz pairs.
 
-The bounded compute tables and the incremental ZX worklist engine are
-performance features and must never change verdicts: this sweep drives
-200 small labeled pairs through the DD checker with a deliberately tiny
-compute table (maximum eviction pressure) and through both ZX
-simplification engines, asserting verdict equality with the unbounded /
-legacy baselines pair by pair.
+The bounded compute tables are a performance feature and must never
+change verdicts: the sweep drives every pair through the DD checker with
+a deliberately tiny compute table (maximum eviction pressure) and
+asserts verdict equality with the unbounded baseline pair by pair.  The
+same pairs check that a decisive ZX verdict never contradicts the
+metamorphic label, and that the compute-table knob (which the ZX
+strategy never reads) leaves ZX verdicts untouched.
 """
 
 import dataclasses
@@ -61,76 +62,41 @@ class TestComputeTablePressure:
         assert not mismatches, f"verdict drift under eviction: {mismatches}"
 
 
-class TestIncrementalZxEquivalence:
-    def test_incremental_and_legacy_zx_never_contradict(self, labeled_pairs):
-        # ZX is an incomplete method: the engines may differ in *power*
-        # (one reduces to a clean identity where the other gives up with
-        # NO_INFORMATION — seed 151's compiled ancilla pair does exactly
-        # that), but two decisive verdicts must never contradict.
-        base = Configuration(strategy="zx", timeout=20.0, seed=0)
-        incremental = dataclasses.replace(base, incremental_zx=True)
-        legacy = dataclasses.replace(base, incremental_zx=False)
-        indecisive = {Equivalence.NO_INFORMATION, Equivalence.TIMEOUT}
-        contradictions = []
-        for seed, pair in labeled_pairs:
-            a = _verdict(pair, incremental)
-            b = _verdict(pair, legacy)
-            if a in indecisive or b in indecisive:
-                continue
-            positive = {
-                Equivalence.EQUIVALENT,
-                Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE,
-            }
-            if (a in positive) != (b in positive):
-                contradictions.append((seed, pair.recipe, a.value, b.value))
-        assert not contradictions, f"ZX engines contradict: {contradictions}"
-
+class TestZxSoundness:
     def test_decisive_zx_verdicts_are_sound(self, labeled_pairs):
-        # Neither engine may contradict the metamorphic label.
+        # A decisive ZX verdict may never contradict the metamorphic label.
         from repro.fuzz.mutators import LABEL_EQUIVALENT
 
-        base = Configuration(strategy="zx", timeout=20.0, seed=0)
+        config = Configuration(strategy="zx", timeout=20.0, seed=0)
         unsound = []
-        for incremental in (True, False):
-            config = dataclasses.replace(base, incremental_zx=incremental)
-            for seed, pair in labeled_pairs:
-                verdict = _verdict(pair, config)
-                if (
-                    verdict is Equivalence.NOT_EQUIVALENT
-                    and pair.label == LABEL_EQUIVALENT
-                ):
-                    unsound.append((seed, pair.recipe, incremental))
-                if (
-                    verdict
-                    in (
-                        Equivalence.EQUIVALENT,
-                        Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE,
-                    )
-                    and pair.label != LABEL_EQUIVALENT
-                ):
-                    unsound.append((seed, pair.recipe, incremental))
+        for seed, pair in labeled_pairs:
+            verdict = _verdict(pair, config)
+            if (
+                verdict is Equivalence.NOT_EQUIVALENT
+                and pair.label == LABEL_EQUIVALENT
+            ):
+                unsound.append((seed, pair.recipe))
+            if (
+                verdict
+                in (
+                    Equivalence.EQUIVALENT,
+                    Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE,
+                )
+                and pair.label != LABEL_EQUIVALENT
+            ):
+                unsound.append((seed, pair.recipe))
         assert not unsound, f"unsound ZX verdicts: {unsound}"
 
 
 class TestCombinedPressure:
-    def test_tiny_tables_with_each_zx_engine(self, labeled_pairs):
-        # one in four pairs, both knobs stressed at once
+    def test_tiny_tables_leave_zx_verdicts_alone(self, labeled_pairs):
+        # one in four pairs
         sample = labeled_pairs[::4]
-        for incremental in (True, False):
-            stressed = Configuration(
-                strategy="zx",
-                timeout=20.0,
-                seed=0,
-                compute_table_size=16,
-                incremental_zx=incremental,
-            )
-            reference = Configuration(
-                strategy="zx",
-                timeout=20.0,
-                seed=0,
-                incremental_zx=incremental,
-            )
-            for seed, pair in sample:
-                assert _verdict(pair, stressed) is _verdict(
-                    pair, reference
-                ), f"seed {seed} ({pair.recipe}), incremental={incremental}"
+        stressed = Configuration(
+            strategy="zx", timeout=20.0, seed=0, compute_table_size=16
+        )
+        reference = Configuration(strategy="zx", timeout=20.0, seed=0)
+        for seed, pair in sample:
+            assert _verdict(pair, stressed) is _verdict(
+                pair, reference
+            ), f"seed {seed} ({pair.recipe})"

@@ -20,13 +20,12 @@ def _oracle(**kwargs):
 
 
 class TestStrategyMatrix:
-    def test_covers_all_seven_strategies(self):
+    def test_covers_all_six_strategies(self):
         names = [name for name, _ in STRATEGY_MATRIX]
         assert names == [
             "dd_alternating",
             "dd_reference",
-            "zx_incremental",
-            "zx_legacy",
+            "zx",
             "stabilizer",
             "simulation",
             "static_analysis",
@@ -103,7 +102,7 @@ class TestAgreementOnLabeledPairs:
 class TestVerdictHook:
     def test_lying_checker_is_flagged(self):
         def lie(name, pair, result):
-            if name == "zx_legacy":
+            if name == "zx":
                 return dataclasses.replace(
                     result, equivalence=Equivalence.NOT_EQUIVALENT
                 )
@@ -125,7 +124,7 @@ class TestVerdictHook:
             for d in report.disagreements
             if d["kind"] == "cross_checker"
         }
-        assert negatives == {"zx_legacy"}
+        assert negatives == {"zx"}
 
     def test_false_positive_against_dense_truth(self):
         def lie(name, pair, result):

@@ -58,7 +58,7 @@ class TestPlantedBugEndToEnd:
         def hook(name, pair, result):
             # Planted checker bug: the incremental ZX engine falsely
             # refutes any pair whose second circuit has > 8 gates.
-            if name == "zx_incremental" and len(pair.circuit2) > 8:
+            if name == "zx" and len(pair.circuit2) > 8:
                 return dataclasses.replace(
                     result, equivalence=Equivalence.NOT_EQUIVALENT
                 )
@@ -172,7 +172,7 @@ class TestJournalLifetime:
             # next oracle call simulates the operator's Ctrl-C.
             if opened:
                 raise KeyboardInterrupt
-            if name == "zx_incremental" and len(pair.circuit2) > 8:
+            if name == "zx" and len(pair.circuit2) > 8:
                 return dataclasses.replace(
                     result, equivalence=Equivalence.NOT_EQUIVALENT
                 )

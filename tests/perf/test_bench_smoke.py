@@ -4,12 +4,11 @@ Marked ``bench_smoke`` so they can be selected alone::
 
     PYTHONPATH=src python -m pytest -m bench_smoke -q
 
-They are deliberately tiny (well under 5 seconds) — the full ZX
-baseline comparison lives in ``benchmarks/bench_zx_simplify.py``, which
-writes ``BENCH_zx_simplify.json``.  Here we only guard the invariants
-the benchmarks rely on: the DD checkers reproduce golden verdicts, sizes
-and stimulus digests on small pairs, the fast and legacy ZX drivers
-agree, and everything stays fast enough for tier-1.
+They are deliberately tiny (well under 5 seconds).  Here we only guard
+the invariants the benchmarks rely on: the DD checkers reproduce golden
+verdicts, sizes and stimulus digests on small pairs, the ZX simplifier
+reproduces golden final diagrams and rewrite counts, and everything
+stays fast enough for tier-1.
 """
 
 from __future__ import annotations
@@ -130,39 +129,28 @@ def test_idle_wire_elision_counters():
 
 @pytest.mark.bench_smoke
 def test_zx_simplify_smoke():
-    """Incremental and legacy ZX engines agree end-to-end and stay fast."""
+    """The ZX strategy reduces qft_5's miter to bare wires and stays fast."""
     from repro.bench.algorithms import qft
 
     original = qft(5)
+    config = Configuration(strategy="zx", seed=0)
+    start = time.perf_counter()
+    result = EquivalenceCheckingManager(original, original, config).run()
+    elapsed = time.perf_counter() - start
 
-    verdicts = {}
-    spiders = {}
-    elapsed = {}
-    for label, incremental in (("incremental", True), ("legacy", False)):
-        config = Configuration(
-            strategy="zx", seed=0, incremental_zx=incremental
-        )
-        start = time.perf_counter()
-        result = EquivalenceCheckingManager(original, original, config).run()
-        elapsed[label] = time.perf_counter() - start
-        verdicts[label] = result.equivalence
-        spiders[label] = result.statistics["spiders_remaining"]
-        assert result.equivalence in POSITIVE, label
-        assert result.statistics["zx_engine"] == label
-        counters = result.statistics["perf"]["counters"]
-        assert counters.get("zx.rounds", 0) >= 1, label
-
-    assert verdicts["incremental"] == verdicts["legacy"]
-    assert spiders["incremental"] == spiders["legacy"] == 0
+    assert result.equivalence in POSITIVE
+    assert result.statistics["spiders_remaining"] == 0
+    counters = result.statistics["perf"]["counters"]
+    assert counters.get("zx.rounds", 0) >= 1
     # Generous bound: this pair takes ~0.05 s; 5 s means something broke.
-    assert elapsed["incremental"] < 5.0
+    assert elapsed < 5.0
 
 
 @pytest.mark.bench_smoke
 def test_zx_pivot_gadget_smoke():
     """The Table-1 ``plus13mod64`` optimized pair leans on pivot-gadget
-    (hundreds of rewrites): both ZX engines reduce its miter to bare
-    wires with equal edge counts, and the incremental one stays fast."""
+    (hundreds of rewrites): its miter reduces to six bare wires and the
+    reduction stays fast."""
     from repro.bench import reversible
     from repro.compile.decompose import decompose_to_basis
     from repro.compile.optimize import optimize_circuit
@@ -171,28 +159,20 @@ def test_zx_pivot_gadget_smoke():
 
     original = reversible.synthesize(reversible.plus_constant_mod(6, 13))
     optimized = optimize_circuit(decompose_to_basis(original), level=2)
-    miter = circuit_to_zx(original).adjoint().compose(circuit_to_zx(optimized))
+    diagram = circuit_to_zx(original).adjoint().compose(
+        circuit_to_zx(optimized)
+    )
 
-    diagrams = {}
-    elapsed = {}
     counters = PerfCounters()
-    for label, incremental in (("incremental", True), ("legacy", False)):
-        diagram = miter.copy()
-        start = time.perf_counter()
-        full_reduce(
-            diagram,
-            incremental=incremental,
-            counters=counters if incremental else None,
-        )
-        elapsed[label] = time.perf_counter() - start
-        diagrams[label] = diagram
+    start = time.perf_counter()
+    full_reduce(diagram, counters=counters)
+    elapsed = time.perf_counter() - start
 
     assert counters.counters["zx.pivot_gadget.rewrites"] > 100
-    assert diagrams["incremental"].num_spiders == 0
-    assert diagrams["legacy"].num_spiders == 0
-    assert diagrams["incremental"].num_edges == diagrams["legacy"].num_edges
+    assert diagram.num_spiders == 0
+    assert diagram.num_edges == 6
     # Generous bound: this miter takes ~0.3 s; 10 s means something broke.
-    assert elapsed["incremental"] < 10.0
+    assert elapsed < 10.0
 
 
 @pytest.mark.bench_smoke

@@ -48,7 +48,9 @@ class TestWireFormat:
         payload = configuration_to_payload(Configuration(seed=3))
         payload["from_a_newer_version"] = True
         # Knobs that older clients still send for removed features.
-        payload.update(array_dd=False, direct_application=False)
+        payload.update(
+            array_dd=False, direct_application=False, incremental_zx=False
+        )
         assert configuration_from_payload(payload) == Configuration(seed=3)
 
 

@@ -138,10 +138,10 @@ class TestStructuralOps:
 
     def test_compose_bare_wires(self):
         composed = bare_wire().compose(bare_wire())
-        # junction spiders are phase-0 Z spiders, removable by id_simp
-        from repro.zx.simplify import id_simp
+        # junction spiders are phase-0 Z spiders, removable by the id rule
+        from repro.zx.simplify import simplify_rule
 
-        id_simp(composed)
+        simplify_rule(composed, "id")
         assert composed.wire_permutation() == {0: 0}
 
 

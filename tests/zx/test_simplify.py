@@ -13,16 +13,17 @@ from repro.zx import (
     full_reduce,
     to_graph_like,
 )
+from repro.perf import PerfCounters
 from repro.zx.diagram import EdgeType, VertexType
+import repro.zx.simplify as simplify
 from repro.zx.simplify import (
+    RULES,
+    DirtyTracker,
     SimplificationTimeout,
+    _run_rule,
     clifford_simp,
-    gadget_simp,
-    id_simp,
     interior_clifford_simp,
-    lcomp_simp,
-    pivot_gadget_simp,
-    pivot_simp,
+    simplify_rule,
 )
 from tests.conftest import random_circuit
 
@@ -56,27 +57,46 @@ class TestToGraphLike:
 
 class TestIndividualPasses:
     @pytest.mark.parametrize(
-        "simp",
-        [id_simp, pivot_simp, lcomp_simp, pivot_gadget_simp],
-        ids=lambda f: f.__name__,
+        "rule", ["id", "pivot", "lcomp", "pivot_gadget"]
     )
     @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_pass_preserves_semantics(self, simp, seed):
+    def test_pass_preserves_semantics(self, rule, seed):
         circuit = random_circuit(3, 15, seed=seed)
         diagram = circuit_to_zx(circuit)
         to_graph_like(diagram)
         before = diagram_to_matrix(diagram)
-        simp(diagram)
+        simplify_rule(diagram, rule)
         assert diagrams_proportional(diagram_to_matrix(diagram), before)
 
-    def test_gadget_simp_merges_equal_support(self):
+    def test_gadget_rule_merges_equal_support(self):
         # two rzz phase gadgets on the same pair of qubits
         circuit = QuantumCircuit(2).rzz(0.4, 0, 1).h(0).h(0).rzz(0.3, 0, 1)
         diagram = circuit_to_zx(circuit)
         before = diagram_to_matrix(diagram)
         to_graph_like(diagram)
-        gadget_simp(diagram)
+        simplify_rule(diagram, "gadget")
         assert diagrams_proportional(diagram_to_matrix(diagram), before)
+
+    def test_counters_add_up_to_the_rewrites(self):
+        circuit = random_circuit(3, 20, seed=2, gate_set="mixed")
+        diagram = (
+            circuit_to_zx(circuit).adjoint().compose(circuit_to_zx(circuit))
+        )
+        counters = PerfCounters()
+        applied = full_reduce(diagram, counters=counters)
+        rewrites = {
+            rule: counters.counters.get(f"zx.{rule}.rewrites", 0)
+            for rule in RULES
+        }
+        assert applied > 0
+        assert sum(rewrites.values()) == applied
+        assert counters.counters["zx.id.candidates"] > 0
+        assert counters.counters["zx.rounds"] >= 1
+        assert set(counters.counters) <= {"zx.rounds"} | {
+            f"zx.{rule}.{kind}"
+            for rule in RULES
+            for kind in ("candidates", "rewrites")
+        }
 
 
 class TestFullReduce:
@@ -134,22 +154,33 @@ class TestFullReduce:
         with pytest.raises(SimplificationTimeout):
             full_reduce(diagram, deadline=time.monotonic() - 1.0)
 
-    def test_legacy_deadline_raises(self):
-        circuit = random_circuit(5, 200, seed=1, gate_set="mixed")
+    def test_gadget_rule_deadline_raises(self):
+        """The gadget rule's worklist loop honours the deadline even with
+        no fusable gadget (called past the graph-like conversion, which
+        checks the deadline on its own)."""
+        circuit = QuantumCircuit(2).rzz(0.4, 0, 1).h(0).h(0).rzz(0.3, 0, 1)
+        diagram = to_graph_like(circuit_to_zx(circuit))
+        tracker = DirtyTracker(diagram)
+        with pytest.raises(SimplificationTimeout):
+            _run_rule(diagram, tracker, "gadget", time.monotonic() - 1.0, None)
+
+    def test_graph_like_conversion_receives_the_deadline(self, monkeypatch):
+        """The graph-like sweep inside full_reduce is interruptible too."""
+        seen = []
+        convert = simplify.to_graph_like
+
+        def spy(diagram, deadline=None):
+            seen.append(deadline)
+            return convert(diagram, deadline=deadline)
+
+        monkeypatch.setattr(simplify, "to_graph_like", spy)
+        circuit = random_circuit(3, 15, seed=0)
         diagram = (
             circuit_to_zx(circuit).adjoint().compose(circuit_to_zx(circuit))
         )
-        with pytest.raises(SimplificationTimeout):
-            full_reduce(
-                diagram, deadline=time.monotonic() - 1.0, incremental=False
-            )
-
-    def test_gadget_simp_deadline_raises(self):
-        """gadget_simp honours the deadline even with no fusable gadget."""
-        circuit = QuantumCircuit(2).rzz(0.4, 0, 1).h(0).h(0).rzz(0.3, 0, 1)
-        diagram = to_graph_like(circuit_to_zx(circuit))
-        with pytest.raises(SimplificationTimeout):
-            gadget_simp(diagram, deadline=time.monotonic() - 1.0)
+        deadline = time.monotonic() + 60.0
+        full_reduce(diagram, deadline=deadline)
+        assert seen == [deadline]
 
     def test_error_injected_does_not_reduce_to_identity(self):
         circuit = random_circuit(4, 30, seed=5, gate_set="mixed")
