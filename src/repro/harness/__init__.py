@@ -1,19 +1,24 @@
 """Fault-isolated execution of equivalence checks.
 
-The harness runs a check in a sandboxed child process with a *hard*
-wall-clock timeout (SIGKILL on overrun — independent of the cooperative
-``deadline`` checks inside the checkers), an address-space limit, and
-structured serialization of the :class:`~repro.ec.results.\
-EquivalenceCheckingResult` back to the parent.  Failures surface as the
-:mod:`repro.errors` taxonomy; transient ones are retried with bounded
-exponential backoff; :func:`run_check` degrades every failure into a
+Every isolated check runs in a :class:`~repro.harness.child.Child`, the
+one supervised-child primitive and the only module that forks: spawn
+with an address-space limit, send, receive, kill, reap, and one
+exit-code classification.  A *hard* wall-clock timeout (SIGKILL on
+overrun — independent of the cooperative ``deadline`` checks inside the
+checkers) contains what cooperative checks cannot, and the
+:class:`~repro.ec.results.EquivalenceCheckingResult` crosses back as a
+JSON-safe dict.  Failures surface as the :mod:`repro.errors` taxonomy;
+transient ones are retried with bounded exponential backoff;
+:func:`run_check` degrades every failure into a
 ``NO_INFORMATION``/``TIMEOUT`` result so batch drivers (the Table-1
 harness) never lose the remaining cells to one bad instance.
 
-:mod:`repro.harness.race` generalizes the one-shot sandbox into a
-multi-child racer — the execution substrate of the concurrent strategy
-portfolio (:mod:`repro.ec.portfolio`): staggered launches under one
-shared deadline, first sound verdict wins, losers SIGKILLed and reaped.
+Three policies sit on the primitive: the one-shot sandbox
+(:mod:`repro.harness.sandbox`), the multi-child racer
+(:mod:`repro.harness.race`, the execution substrate of the concurrent
+strategy portfolio :mod:`repro.ec.portfolio`: staggered launches under
+one shared deadline, first sound verdict wins, losers SIGKILLed and
+reaped) and the long-lived worker pool (:mod:`repro.service.pool`).
 
 Entry points::
 

@@ -17,12 +17,14 @@ companions behind a short head start), and whenever a running child
 completes *without* deciding the race, the earliest pending entry is
 promoted immediately — an idle CPU never waits out a head start.
 
-Containment matches the one-shot sandbox: per-child RLIMIT_AS headroom,
-per-child hard wall budgets, and a ``multiprocessing.connection.wait``
-(select/poll) result loop in the parent.  Every child is joined before
-:func:`race_checks` returns — no zombies — and the per-child
-bookkeeping (verdicts of completed losers, kill codes, reap states) is
-returned for the portfolio statistics block.
+Every lane is one :class:`~repro.harness.child.Child`, so containment
+and failure classification are the one-shot sandbox's: per-child
+RLIMIT_AS headroom, per-child hard wall budgets, and a
+``multiprocessing.connection.wait`` (select/poll) result loop in the
+parent.  Every child is joined before :func:`race_checks` returns — no
+zombies — and the per-child bookkeeping (verdicts of completed losers,
+kill codes, reap states) is returned for the portfolio statistics
+block.
 
 Two children returning contradictory sound verdicts is a checker bug,
 surfaced as a hard :class:`~repro.errors.PortfolioDisagreement` — never
@@ -31,7 +33,6 @@ swallowed.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
@@ -40,20 +41,9 @@ from typing import Dict, List, Optional
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
-from repro.errors import (
-    CheckCrashed,
-    CheckWorkerLost,
-    InvalidInput,
-    PortfolioDisagreement,
-    error_from_dict,
-)
+from repro.errors import InvalidInput, PortfolioDisagreement
 from repro.harness.chaos import ChaosSpec
-from repro.harness.sandbox import (
-    _FATAL_SIGNALS,
-    _child_main,
-    _start_method,
-    DEFAULT_GRACE_SECONDS,
-)
+from repro.harness.child import START_METHOD, Child, hard_budget, job_message
 
 #: Upper bound on one poll-loop sleep, so launch times stay responsive.
 _MAX_POLL_SECONDS = 0.05
@@ -102,9 +92,7 @@ class RaceEntry:
         """Per-child SIGKILL budget in seconds from launch."""
         if self.budget is not None:
             return self.budget
-        if self.configuration.timeout is not None:
-            return self.configuration.timeout + DEFAULT_GRACE_SECONDS
-        return None
+        return hard_budget(self.configuration)
 
 
 @dataclass
@@ -188,41 +176,14 @@ class RaceOutcome:
 class _Lane:
     """Mutable parent-side state of one launched child."""
 
-    __slots__ = ("entry", "outcome", "process", "conn", "launched_at",
-                 "hard_deadline")
+    __slots__ = ("entry", "outcome", "child", "launched_at", "hard_deadline")
 
     def __init__(self, entry: RaceEntry, outcome: ChildOutcome) -> None:
         self.entry = entry
         self.outcome = outcome
-        self.process = None
-        self.conn = None
+        self.child: Optional[Child] = None
         self.launched_at: Optional[float] = None
         self.hard_deadline: Optional[float] = None
-
-
-def _death_error(lane: _Lane) -> Dict[str, object]:
-    """Classify a child that died without reporting (after join)."""
-    exitcode = lane.process.exitcode
-    if exitcode is not None and exitcode < 0:
-        number = -exitcode
-        name = _FATAL_SIGNALS.get(number)
-        if name is not None:
-            return CheckCrashed(
-                f"racer child died on {name}",
-                signal=number,
-                signal_name=name,
-                pid=lane.process.pid,
-            ).to_dict()
-        return CheckWorkerLost(
-            f"racer child killed by signal {number}",
-            signal=number,
-            pid=lane.process.pid,
-        ).to_dict()
-    return CheckWorkerLost(
-        "racer child exited without reporting a result",
-        exitcode=exitcode,
-        pid=lane.process.pid,
-    ).to_dict()
 
 
 def _is_sound(result: Optional[EquivalenceCheckingResult]) -> bool:
@@ -301,7 +262,6 @@ def race_checks(
     for entry in entries:
         entry.validate()
 
-    ctx = multiprocessing.get_context(_start_method())
     start = time.monotonic()
     race_deadline = None if shared_budget is None else start + shared_budget
 
@@ -318,87 +278,61 @@ def race_checks(
     deadline_expired = False
 
     def launch(lane: _Lane, now: float) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_child_main,
-            args=(
-                child_conn,
-                circuit1,
-                circuit2,
-                lane.entry.configuration,
-                lane.entry.memory_mb,
-                lane.entry.chaos.to_dict()
-                if lane.entry.chaos is not None
-                else None,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        lane.process = process
-        lane.conn = parent_conn
+        entry = lane.entry
+        lane.child = Child(entry.memory_mb)
         lane.launched_at = now
-        budget = lane.entry.hard_budget()
+        budget = entry.hard_budget()
         lane.hard_deadline = None if budget is None else now + budget
         lane.outcome.status = "running"
-        lane.outcome.pid = process.pid
+        lane.outcome.pid = lane.child.pid
         lane.outcome.launched_after = now - start
-        running.append(lane)
+        running.append(lane)  # from here on, the finally below reaps it
+        lane.child.send(
+            job_message(0, circuit1, circuit2, entry.configuration, entry.chaos)
+        )
 
-    def settle(lane: _Lane, now: float) -> None:
-        """Receive one lane's payload (or its death) and finalize it."""
+    def settle(lane: _Lane, message, now: float) -> None:
+        """Finalize one lane from its result message (None: it died)."""
         running.remove(lane)
-        payload = None
-        try:
-            if lane.conn.poll(0):
-                payload = lane.conn.recv()
-        except (EOFError, OSError):
-            payload = None
-        lane.process.join(5.0)
-        if lane.process.is_alive():  # pragma: no cover - kill is final
-            lane.process.kill()
-            lane.process.join(1.0)
-        lane.outcome.exitcode = lane.process.exitcode
-        lane.outcome.reaped = lane.process.exitcode is not None
-        lane.outcome.wall_seconds = now - lane.launched_at
-        lane.conn.close()
-        if payload is None:
+        if message is None:
             lane.outcome.status = "failed"
-            lane.outcome.error = _death_error(lane)
-        elif payload.get("ok"):
+            lane.outcome.error = lane.child.death_error().to_dict()
+        elif message["ok"]:
             lane.outcome.status = "completed"
             lane.outcome.result = EquivalenceCheckingResult.from_dict(
-                payload["result"]
+                message["result"]
             )
         else:
             lane.outcome.status = "failed"
-            error = payload.get("error")
-            lane.outcome.error = (
-                dict(error) if isinstance(error, dict) else
-                error_from_dict({}).to_dict()
-            )
+            lane.outcome.error = message["error"]
+        reap(lane, now)
+
+    def reap(lane: _Lane, now: float) -> None:
+        lane.child.kill()
+        lane.outcome.exitcode = lane.child.reap()
+        lane.outcome.reaped = lane.outcome.exitcode is not None
+        lane.outcome.wall_seconds = now - lane.launched_at
+
+    def receive(lane: _Lane, now: float) -> bool:
+        """Settle the lane if a result (or its death) is waiting."""
+        while lane.child.poll(0):
+            message = lane.child.recv()
+            if message is None or message["type"] == "result":
+                settle(lane, message, now)
+                return True
+        return False
 
     def kill(lane: _Lane, code: str, now: float) -> None:
-        """SIGKILL one running lane, draining a last-instant payload first."""
-        # A payload already sitting in the pipe means the child actually
+        """SIGKILL one running lane, draining a last-instant result first."""
+        # A result already sitting in the pipe means the child actually
         # finished — record its verdict (a "completed loser") instead of
         # pretending the kill preempted it.
-        try:
-            has_payload = lane.conn.poll(0)
-        except (EOFError, OSError):
-            has_payload = False
-        if has_payload:
-            settle(lane, now)
+        if receive(lane, now):
             return
-        lane.process.kill()
         running.remove(lane)
-        lane.process.join(5.0)
         lane.outcome.status = "killed"
         lane.outcome.kill_code = code
-        lane.outcome.exitcode = lane.process.exitcode
-        lane.outcome.reaped = lane.process.exitcode is not None
-        lane.outcome.wall_seconds = now - lane.launched_at
-        lane.conn.close()
+        reap(lane, now)
 
     winner: Optional[str] = None
     try:
@@ -440,13 +374,14 @@ def race_checks(
                 )
             timeout = max(0.0, min(horizons) - now)
             ready = connection_wait(
-                [lane.conn for lane in running], timeout=timeout
+                [lane.child for lane in running], timeout=timeout
             )
             now = time.monotonic()
             finished_without_decision = 0
-            for conn in ready:
-                lane = next(l for l in running if l.conn is conn)
-                settle(lane, now)
+            for child in ready:
+                lane = next(l for l in running if l.child is child)
+                if not receive(lane, now):
+                    continue  # only the startup handshake so far
                 if _is_sound(lane.outcome.result):
                     decided = True
                     if winner is None:
@@ -496,16 +431,11 @@ def race_checks(
         now = time.monotonic()
         for lane in list(running):
             kill(lane, KILL_DEADLINE if deadline_expired else KILL_LOSER, now)
-        for lane in lanes:
-            if lane.process is not None and lane.process.exitcode is None:
-                lane.process.join(1.0)  # pragma: no cover - settled above
-                lane.outcome.exitcode = lane.process.exitcode
-                lane.outcome.reaped = lane.process.exitcode is not None
 
     return RaceOutcome(
         children=[lane.outcome for lane in lanes],
         winner=winner,
         elapsed=time.monotonic() - start,
         deadline_expired=deadline_expired,
-        start_method=ctx.get_start_method(),
+        start_method=START_METHOD,
     )

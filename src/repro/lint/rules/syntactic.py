@@ -158,23 +158,22 @@ class NoWallclockRule(Rule):
 
 
 class NoForkRule(Rule):
-    """Process creation is banned outside the harness and pool supervisor."""
+    """Process creation is banned outside ``harness/child.py``."""
 
     id = "no-fork"
 
     def run(self, project: Project) -> List[Finding]:
         findings: List[Finding] = []
         for module in project.iter_modules():
-            package = module.relpath.split("/", 1)[0]
-            # The supervised worker pool is the one non-harness module
-            # that legitimately owns child processes.
-            if package == "harness" or module.relpath == "service/pool.py":
+            # The one supervised-child primitive; the sandbox, the racer
+            # and the worker pool all fork through it.
+            if module.relpath == "harness/child.py":
                 continue
             for node, call, info in iter_call_sites(module):
                 dotted = dotted_name(call.func)
                 message = None
                 if dotted in FORK_CALLS:
-                    message = f"{FORK_CALLS[dotted]} outside repro.harness"
+                    message = f"{FORK_CALLS[dotted]} outside harness/child.py"
                 elif (
                     dotted is not None
                     and dotted.split(".")[-1] in FORK_NAMES
@@ -186,7 +185,7 @@ class NoForkRule(Rule):
                     )
                 ):
                     message = (
-                        f"{dotted}() spawns a process outside repro.harness"
+                        f"{dotted}() spawns a process outside harness/child.py"
                     )
                 if message is not None:
                     findings.append(
@@ -194,8 +193,8 @@ class NoForkRule(Rule):
                             module,
                             call.lineno,
                             message
-                            + " (route child processes through the "
-                            "sandbox/racer in repro.harness)",
+                            + " (route child processes through "
+                            "repro.harness.child.Child)",
                             info,
                         )
                     )

@@ -29,6 +29,11 @@ per-check into a *supervision loop*:
   execution, and a :class:`repro.service.cache.VerdictCache` answers
   repeats without touching a worker at all.
 
+Every worker is a :class:`repro.harness.child.Child` — the same
+primitive, serve loop and job runner as the one-shot sandbox — so a job
+that kills its worker is classified exactly as under
+:func:`repro.harness.run_check` (a fatal signal is ``crashed``, any
+other death ``worker_lost``, an OOM carries ``memory_limit_mb``).
 Verdict parity is the non-negotiable invariant: for any job, the pool's
 answer (verdict and degradation shape) matches a direct
 :func:`repro.harness.run_check` of the same pair — the pool changes
@@ -43,10 +48,6 @@ dispatcher thread.
 
 from __future__ import annotations
 
-import dataclasses
-import multiprocessing
-import os
-import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -59,7 +60,6 @@ from repro.ec.results import EquivalenceCheckingResult
 from repro.errors import (
     CheckError,
     CheckTimeout,
-    CheckWorkerLost,
     InvalidInput,
     PoolBroken,
     PoolSaturated,
@@ -67,125 +67,19 @@ from repro.errors import (
     error_from_dict,
 )
 from repro.harness.chaos import ChaosSpec
-from repro.harness.sandbox import (
+from repro.harness.child import (
     DEFAULT_GRACE_SECONDS,
-    _apply_memory_limit,
-    _failure_result,
-    _FATAL_SIGNALS,
-    _start_method,
+    Child,
+    hard_budget,
+    job_message,
 )
+from repro.harness.sandbox import _failure_result
 from repro.perf import PerfCounters
 from repro.service.cache import VerdictCache, cache_key
 from repro.service.quarantine import QuarantineStore
 
-_MIB = 1024 * 1024
-
 #: Upper bound on one supervision-loop sleep.
 _MAX_POLL_SECONDS = 0.05
-
-
-def _worker_rss_mb() -> Optional[float]:
-    """Resident set of this process in MiB (None off-/proc platforms)."""
-    try:
-        with open("/proc/self/statm") as handle:
-            fields = handle.read().split()
-        return int(fields[1]) * os.sysconf("SC_PAGESIZE") / _MIB
-    except (OSError, ValueError, IndexError):  # pragma: no cover - no /proc
-        return None
-
-
-def _execute_job(message: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one check inside the worker; always returns a structured payload."""
-    from repro.ec.manager import EquivalenceCheckingManager
-    from repro.errors import CheckOutOfMemory, classify_exception
-    from repro.harness import chaos as chaos_module
-
-    chaos_payload = message.get("chaos")
-    try:
-        if chaos_payload is not None:
-            chaos_module.activate(ChaosSpec.from_dict(chaos_payload))
-        # Raw failures must reach the classifier: degradation is the
-        # supervisor's job, exactly as in the one-shot sandbox.
-        config = dataclasses.replace(
-            message["configuration"], graceful_degradation=False
-        )
-        result = EquivalenceCheckingManager(
-            message["circuit1"], message["circuit2"], config
-        ).run()
-        return {"ok": True, "result": result.to_dict()}
-    except MemoryError:
-        import gc
-
-        gc.collect()
-        return {
-            "ok": False,
-            "oom": True,
-            "error": CheckOutOfMemory(
-                "check exceeded the worker's address-space limit"
-            ).to_dict(),
-        }
-    except BaseException as exc:  # noqa: BLE001 - containment is the point
-        return {"ok": False, "error": classify_exception(exc).to_dict()}
-    finally:
-        chaos_module.deactivate()
-
-
-def _worker_main(
-    conn: Any,
-    memory_mb: Optional[int],
-    startup_chaos: Optional[Dict[str, Any]],
-) -> None:
-    """Long-lived worker loop: serve jobs until told to shut down.
-
-    The worker is passive: it blocks on the pipe, answers pings, runs
-    jobs, and reports its resident set with every result so the
-    supervisor can recycle it.  SIGINT is ignored — a Ctrl-C aimed at
-    the foreground service must reach the *supervisor's* draining
-    shutdown, not kill workers mid-check.
-    """
-    from repro.harness import chaos as chaos_module
-
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - exotic platform
-        pass
-    if memory_mb is not None:
-        _apply_memory_limit(memory_mb)
-    if startup_chaos is not None:
-        chaos_module.trigger(ChaosSpec.from_dict(startup_chaos))
-    jobs_done = 0
-    try:
-        conn.send({"type": "ready", "pid": os.getpid()})
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:  # supervisor is gone — nothing to serve
-                break
-            kind = message.get("type")
-            if kind == "shutdown":
-                conn.send({"type": "bye", "jobs_done": jobs_done})
-                break
-            if kind == "ping":
-                conn.send({"type": "pong", "rss_mb": _worker_rss_mb()})
-                continue
-            if kind != "job":  # pragma: no cover - unknown message
-                continue
-            conn.send({"type": "started", "id": message["id"]})
-            payload = _execute_job(message)
-            jobs_done += 1
-            payload.update(
-                {
-                    "type": "result",
-                    "id": message["id"],
-                    "rss_mb": _worker_rss_mb(),
-                    "jobs_done": jobs_done,
-                }
-            )
-            conn.send(payload)
-    except (BrokenPipeError, OSError):  # pragma: no cover - parent died
-        pass
-    finally:
-        conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -294,23 +188,17 @@ class _Job:
     result: Optional[EquivalenceCheckingResult] = None
     primary_id: Optional[int] = None  # set on coalesced duplicates
 
-    def hard_budget(self, grace: float) -> Optional[float]:
-        if self.configuration.timeout is None:
-            return None
-        return self.configuration.timeout + grace
 
+class _Worker(Child):
+    """One long-lived worker child plus its supervision state."""
 
-class _Worker:
-    """Supervisor-side state of one live worker process."""
-
-    __slots__ = (
-        "process", "conn", "ready", "job", "job_deadline", "jobs_done",
-        "last_seen", "ping_deadline", "retiring", "spawned_at",
-    )
-
-    def __init__(self, process: Any, conn: Any, now: float) -> None:
-        self.process = process
-        self.conn = conn
+    def __init__(
+        self,
+        memory_mb: Optional[int],
+        startup_chaos: Optional[ChaosSpec],
+        now: float,
+    ) -> None:
+        super().__init__(memory_mb, startup_chaos)
         self.ready = False
         self.job: Optional[_Job] = None
         self.job_deadline: Optional[float] = None
@@ -353,7 +241,6 @@ class WorkerPool:
             QuarantineStore()
         )
         self.broken = False
-        self._ctx = multiprocessing.get_context(_start_method())
         self._workers: List[_Worker] = []
         self._respawn_at: List[float] = []  # one entry per dead slot
         self._consecutive_deaths = 0
@@ -380,23 +267,11 @@ class WorkerPool:
         return self
 
     def _spawn_worker(self) -> None:
-        now = time.monotonic()
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                self.config.memory_mb,
-                self.config.startup_chaos.to_dict()
-                if self.config.startup_chaos is not None
-                else None,
-            ),
-            daemon=True,
+        worker = _Worker(
+            self.config.memory_mb, self.config.startup_chaos, time.monotonic()
         )
-        process.start()
-        child_conn.close()
-        self._workers.append(_Worker(process, parent_conn, now))
-        self._all_processes.append(process)
+        self._workers.append(worker)
+        self._all_processes.append(worker.process)
         self.counters.count("service.workers_spawned")
 
     def __enter__(self) -> "WorkerPool":
@@ -638,23 +513,16 @@ class WorkerPool:
             job.executions += 1
             worker.job = job
             worker.ping_deadline = None
-            budget = job.hard_budget(self.config.grace)
+            budget = hard_budget(job.configuration, self.config.grace)
             worker.job_deadline = None if budget is None else now + budget
             chaos = job.chaos
             if chaos is not None and job.chaos_once and job.executions > 1:
                 chaos = None  # one-shot fault: retries run clean
-            try:
-                worker.conn.send(
-                    {
-                        "type": "job",
-                        "id": job.id,
-                        "circuit1": job.circuit1,
-                        "circuit2": job.circuit2,
-                        "configuration": job.configuration,
-                        "chaos": chaos.to_dict() if chaos is not None else None,
-                    }
+            if not worker.send(
+                job_message(
+                    job.id, job.circuit1, job.circuit2, job.configuration, chaos
                 )
-            except (BrokenPipeError, OSError):
+            ):
                 # The worker died before the job ever reached it: requeue
                 # without a strike (the job is blameless) and account the
                 # death as job-independent.
@@ -688,33 +556,23 @@ class WorkerPool:
         horizons.extend(self._respawn_at)
         wait_timeout = max(0.0, min(horizons) - now)
         try:
-            ready = connection_wait(
-                [worker.conn for worker in self._workers],
-                timeout=wait_timeout,
-            )
+            ready = connection_wait(self._workers, timeout=wait_timeout)
         except OSError:  # pragma: no cover - closed under our feet
             ready = []
         now = time.monotonic()
-        for conn in ready:
-            worker = next(
-                (w for w in self._workers if w.conn is conn), None
-            )
-            if worker is None:  # settled by a prior step this pump
-                continue
-            self._receive(worker, now)
+        for worker in ready:
+            if worker in self._workers:  # not settled earlier this pump
+                self._receive(worker, now)
 
     def _receive(self, worker: _Worker, now: float) -> None:
-        try:
-            message = worker.conn.recv()
-        except (EOFError, OSError):
+        message = worker.recv()
+        if message is None:
             self._worker_died(worker, now)
             return
         worker.last_seen = now
         kind = message.get("type")
         if kind == "ready":
             worker.ready = True
-        elif kind == "started":
-            pass  # heartbeat refresh is enough
         elif kind == "pong":
             worker.ping_deadline = None
             rss = message.get("rss_mb")
@@ -722,8 +580,6 @@ class WorkerPool:
                 self._retire(worker, reason="rss")
         elif kind == "result":
             self._settle_result(worker, message, now)
-        elif kind == "bye":  # pragma: no cover - retirement handshake
-            pass
 
     def _rss_exceeded(self, rss: object) -> bool:
         return (
@@ -746,26 +602,26 @@ class WorkerPool:
             0.9 * self._avg_job_seconds
             + 0.1 * max(1e-4, now - job.submitted_at)
         )
-        if message.get("ok"):
+        if message["ok"]:
             result = EquivalenceCheckingResult.from_dict(message["result"])
             if self.cache is not None and job.chaos is None:
                 self.cache.put(job.key, result.to_dict())
             result.statistics["service"] = {
-                "worker_pid": worker.process.pid,
+                "worker_pid": worker.pid,
                 "executions": job.executions,
                 "strikes": len(job.strikes),
                 "cached": False,
             }
             self._resolve(job, result)
         else:
-            error = error_from_dict(message.get("error") or {})
+            error = error_from_dict(message["error"])
             self._job_failed(job, error, worker_killed=False)
         # Post-job hygiene: recycle on thresholds or after an OOM (the
         # allocator may be left fragmented under its rlimit ceiling).
         if (
             worker.jobs_done >= self.config.max_jobs_per_worker
             or self._rss_exceeded(message.get("rss_mb"))
-            or message.get("oom")
+            or message.get("error", {}).get("kind") == "out_of_memory"
         ):
             self._retire(worker, reason="threshold")
 
@@ -842,32 +698,9 @@ class WorkerPool:
     def _worker_died(self, worker: _Worker, now: float) -> None:
         """Reap one dead worker and route the consequences."""
         self._remove_worker(worker)
-        worker.process.join(1.0)
-        if worker.process.is_alive():  # pragma: no cover - EOF yet alive
-            worker.process.kill()
-            worker.process.join(1.0)
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        error = worker.death_error()
         job = worker.job
         worker.job = None
-        exitcode = worker.process.exitcode
-        if exitcode is not None and exitcode < 0:
-            number = -exitcode
-            name = _FATAL_SIGNALS.get(number)
-            error: CheckError = CheckWorkerLost(
-                f"pool worker died on signal {number}"
-                + (f" ({name})" if name else ""),
-                signal=number,
-                pid=worker.process.pid,
-            )
-        else:
-            error = CheckWorkerLost(
-                "pool worker exited without reporting a result",
-                exitcode=exitcode,
-                pid=worker.process.pid,
-            )
         self.counters.count("service.worker_deaths")
         if job is not None and job.state == _RUNNING:
             self._job_failed(job, error, worker_killed=True)
@@ -923,19 +756,9 @@ class WorkerPool:
         if worker.retiring:
             return
         worker.retiring = True
-        try:
-            worker.conn.send({"type": "shutdown"})
-        except (BrokenPipeError, OSError):
-            pass
+        worker.send({"type": "shutdown"})
         self._remove_worker(worker)
-        worker.process.join(2.0)
-        if worker.process.is_alive():  # pragma: no cover - refuses to die
-            worker.process.kill()
-            worker.process.join(1.0)
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        worker.reap()
         self.counters.count("service.workers_recycled")
         self.counters.count(f"service.recycled_{reason}")
         if not self.broken:
@@ -943,12 +766,8 @@ class WorkerPool:
 
     def _kill_worker(self, worker: _Worker) -> None:
         self._remove_worker(worker)
-        worker.process.kill()
-        worker.process.join(5.0)
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        worker.kill()
+        worker.reap()
 
     def _remove_worker(self, worker: _Worker) -> None:
         if worker in self._workers:
@@ -964,14 +783,15 @@ class WorkerPool:
             self.counters.count("service.deadline_kills")
             self.counters.count("service.worker_deaths")
             if job is not None and job.state == _RUNNING:
-                budget = job.hard_budget(self.config.grace)
                 self._job_failed(
                     job,
                     CheckTimeout(
                         "hard wall-clock budget exceeded; worker killed",
                         hard=True,
-                        budget_seconds=budget,
-                        pid=worker.process.pid,
+                        budget_seconds=hard_budget(
+                            job.configuration, self.config.grace
+                        ),
+                        pid=worker.pid,
                     ),
                     worker_killed=True,
                 )
@@ -1001,12 +821,11 @@ class WorkerPool:
                 and worker.ping_deadline is None
                 and now - worker.last_seen > self.config.heartbeat_interval
             ):
-                try:
-                    worker.conn.send({"type": "ping"})
+                if worker.send({"type": "ping"}):
                     worker.ping_deadline = (
                         now + self.config.heartbeat_timeout
                     )
-                except (BrokenPipeError, OSError):
+                else:
                     self._worker_died(worker, now)
 
     # ------------------------------------------------------------------
@@ -1019,21 +838,11 @@ class WorkerPool:
                 self.drain(timeout=timeout)
             except CheckTimeout:  # pragma: no cover - operator escape
                 pass
-        for worker in list(self._workers):
+        for worker in self._workers:
             worker.retiring = True
-            try:
-                worker.conn.send({"type": "shutdown"})
-            except (BrokenPipeError, OSError):
-                pass
-        for worker in list(self._workers):
-            worker.process.join(2.0)
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join(2.0)
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass
+            worker.send({"type": "shutdown"})
+        for worker in self._workers:
+            worker.reap()
         self._workers.clear()
         self._respawn_at.clear()
         self._started = False

@@ -57,7 +57,9 @@ BENCHMARKS = [
 
 
 class TestCompiledUseCase:
-    @pytest.mark.parametrize("name,generator", BENCHMARKS, ids=lambda b: str(b))
+    @pytest.mark.parametrize(
+        "name,generator", BENCHMARKS, ids=[name for name, _ in BENCHMARKS]
+    )
     @pytest.mark.parametrize("strategy", ["combined", "zx"])
     def test_equivalent_verdicts(self, name, generator, strategy):
         if callable(generator):
@@ -89,7 +91,9 @@ class TestCompiledUseCase:
 
 class TestOptimizedUseCase:
     @pytest.mark.parametrize(
-        "name,generator", BENCHMARKS[:6], ids=lambda b: str(b)
+        "name,generator",
+        BENCHMARKS[:6],
+        ids=[name for name, _ in BENCHMARKS[:6]],
     )
     def test_original_vs_optimized(self, name, generator):
         if callable(generator):

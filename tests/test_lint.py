@@ -229,9 +229,17 @@ class TestNoForkRule:
         assert "no-fork" in [f.rule for f in findings]
 
     def test_harness_layer_is_exempt(self, tmp_path):
+        """Only the supervised-child primitive may fork; the rest of the
+        harness package goes through it like everybody else."""
         findings = _run_on(
-            tmp_path,
+            tmp_path / "forky",
             "harness/forky.py",
+            "import os\npid = os.fork()\n",
+        )
+        assert [f.rule for f in findings] == ["no-fork"]
+        findings = _run_on(
+            tmp_path / "child",
+            "harness/child.py",
             "import os\npid = os.fork()\n",
         )
         assert findings == []
